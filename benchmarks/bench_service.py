@@ -1,18 +1,11 @@
 """Benchmarks of the sharded mining service (`repro.service`).
 
-Two families:
-
-* **Modeled** per-core concurrency (the original mode): each shard's
-  substream replayed sequentially; service wall time = slowest shard.
-  These numbers are per-core mining throughput, the quantity that scales
-  with one miner shard per metadata server.
-* **Executed** wall clock: :class:`~repro.service.runner.
-  ParallelShardRunner` actually runs the shards on a thread or process
-  pool and the number reported is real elapsed time. On a single-core
-  CI container the parallel backends show executor overhead rather than
-  speedup — the asserted property is output equivalence, and the
-  measured timings land in ``BENCH_service.json`` so multi-core runs
-  are comparable across PRs.
+Every service number here is measured wall clock on one thread: the
+sharded service runs its shards in turn, so its rates are compared with
+a plain single-miner ``Farmer`` timed in the same round (interleaved
+A/B, median over rounds). Boundary echoes add mining work, so the
+sharded rates sit below the single miner's; the rows record by how
+much.
 
 Run with::
 
@@ -22,16 +15,13 @@ Run with::
 
 from __future__ import annotations
 
+import time
+from statistics import median
+
 import pytest
 
 from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
-from repro.service.harness import (
-    compare_parallel_mine,
-    compare_single_vs_sharded,
-    replay_single,
-)
-from repro.service.runner import ParallelShardRunner
 from repro.service.sharded import ShardedFarmer
 from repro.storage.cluster import SimulationConfig, run_simulation
 from repro.storage.prefetch import ShardedFarmerPrefetcher
@@ -39,93 +29,84 @@ from repro.storage.prefetch import ShardedFarmerPrefetcher
 BASE = FarmerConfig()
 
 
-def _report(cmp_) -> None:
-    per_shard = ", ".join(
-        f"s{t.shard}:{t.n_records}r/{t.elapsed_s * 1e3:.0f}ms" for t in cmp_.timings
-    )
+def _replay(miner, records, predict: bool) -> float:
+    """Wall-clock seconds of the observe (plus FPA ``predict``) loop and
+    the final ``snapshot`` that ranks every list still dirty."""
+    start = time.perf_counter()
+    for record in records:
+        miner.observe(record)
+        if predict:
+            miner.predict(record.fid)
+    miner.snapshot()
+    return time.perf_counter() - start
+
+
+def _measure_vs_single(benchmark, records, config, predict: bool) -> dict:
+    """Interleaved A/B: each round times one plain Farmer, then one
+    fresh ShardedFarmer, over the same loop; medians over the rounds."""
+    rounds: list[tuple[float, float, ShardedFarmer]] = []
+
+    def one_round():
+        single_s = _replay(Farmer(config.with_(n_shards=1)), records, predict)
+        service = ShardedFarmer(config)
+        rounds.append((single_s, _replay(service, records, predict), service))
+
+    benchmark.pedantic(one_round, rounds=3, iterations=1)
+    single_s = median(r[0] for r in rounds)
+    sharded_s = median(r[1] for r in rounds)
+    service = rounds[-1][2]
+    assert service.n_observed == len(records)
+    metrics = {
+        "single_records_per_s": len(records) / single_s,
+        "sharded_records_per_s": len(records) / sharded_s,
+        "sharded_vs_single": single_s / sharded_s,
+        "n_boundary_echoes": service.n_boundary_echoes,
+        "cache_hit_rate": service.sim_cache_stats().hit_rate,
+    }
     print(
-        f"\n[{cmp_.n_shards} shards: aggregate {cmp_.aggregate_throughput:,.0f} req/s "
-        f"vs single {cmp_.single_throughput:,.0f} req/s = {cmp_.speedup:.2f}x; "
-        f"{cmp_.n_boundary_echoes} echoes; cache hit {cmp_.cache_hit_rate:.1%}]"
-        f"\n[per-shard: {per_shard}]"
+        f"\n[{config.n_shards} shards, wall clock: "
+        f"{metrics['sharded_records_per_s']:,.0f} req/s vs single "
+        f"{metrics['single_records_per_s']:,.0f} req/s = "
+        f"{metrics['sharded_vs_single']:.2f}x; "
+        f"{metrics['n_boundary_echoes']} echoes; cache hit "
+        f"{metrics['cache_hit_rate']:.1%}]"
     )
+    return metrics
 
 
 @pytest.mark.parametrize("n_shards", [2, 4, 8])
 def bench_service_observe_predict_scaling(
     benchmark, hp_bench_trace, bench_record, n_shards
 ):
-    """Single-miner vs N-shard observe+predict throughput (FPA loop).
-
-    The benchmark times the sequential replay of every substream; the
-    printed aggregate models the shards running concurrently. The
-    4-shard configuration is the acceptance point: aggregate throughput
-    must be at least 2x the single-miner baseline.
-    """
-    single_s = replay_single(Farmer(BASE), hp_bench_trace, predict=True)
-
-    def sharded():
-        return compare_single_vs_sharded(
-            hp_bench_trace,
-            BASE.with_(n_shards=n_shards),
-            predict=True,
-            single_elapsed_s=single_s,
-        )
-
-    cmp_ = benchmark.pedantic(sharded, rounds=2, iterations=1)
-    _report(cmp_)
-    assert cmp_.n_records == len(hp_bench_trace)
+    """Single miner vs N-shard service on the observe+predict FPA loop,
+    measured wall clock on one thread."""
     bench_record(
-        modeled_speedup=cmp_.speedup,
-        aggregate_records_per_s=cmp_.aggregate_throughput,
-        single_records_per_s=cmp_.single_throughput,
-        n_boundary_echoes=cmp_.n_boundary_echoes,
-        cache_hit_rate=cmp_.cache_hit_rate,
-    )
-    if n_shards == 4:
-        assert cmp_.speedup >= 2.0, (
-            f"4-shard aggregate throughput only {cmp_.speedup:.2f}x the "
-            f"single-miner baseline (acceptance floor is 2x)"
+        **_measure_vs_single(
+            benchmark, hp_bench_trace, BASE.with_(n_shards=n_shards), True
         )
+    )
 
 
 def bench_service_observe_only_4shards(benchmark, hp_bench_trace, bench_record):
     """Pure mining throughput (no per-request predict), 4 shards."""
-    single_s = replay_single(Farmer(BASE), hp_bench_trace, predict=False)
-
-    def sharded():
-        return compare_single_vs_sharded(
-            hp_bench_trace,
-            BASE.with_(n_shards=4),
-            predict=False,
-            single_elapsed_s=single_s,
-        )
-
-    cmp_ = benchmark.pedantic(sharded, rounds=2, iterations=1)
-    _report(cmp_)
-    assert cmp_.n_records == len(hp_bench_trace)
     bench_record(
-        modeled_speedup=cmp_.speedup,
-        aggregate_records_per_s=cmp_.aggregate_throughput,
+        **_measure_vs_single(
+            benchmark, hp_bench_trace, BASE.with_(n_shards=4), False
+        )
     )
 
 
 def bench_service_strict_isolation_4shards(benchmark, hp_bench_trace, bench_record):
-    """Upper bound: no boundary echoes (cross_shard_edges=False)."""
-    single_s = replay_single(Farmer(BASE), hp_bench_trace, predict=True)
-
-    def sharded():
-        return compare_single_vs_sharded(
-            hp_bench_trace,
-            BASE.with_(n_shards=4, cross_shard_edges=False),
-            predict=True,
-            single_elapsed_s=single_s,
-        )
-
-    cmp_ = benchmark.pedantic(sharded, rounds=2, iterations=1)
-    _report(cmp_)
-    assert cmp_.n_boundary_echoes == 0
-    bench_record(modeled_speedup=cmp_.speedup)
+    """No boundary echoes (cross_shard_edges=False): the sharded loop
+    without the echo work."""
+    metrics = _measure_vs_single(
+        benchmark,
+        hp_bench_trace,
+        BASE.with_(n_shards=4, cross_shard_edges=False),
+        True,
+    )
+    assert metrics["n_boundary_echoes"] == 0
+    bench_record(**metrics)
 
 
 def bench_vector_freeze_hit_rate(benchmark, hp_bench_trace, bench_record):
@@ -182,65 +163,6 @@ def bench_sharded_batch_mine_4shards(benchmark, hp_bench_trace, bench_record):
     )
 
 
-def _owned_lists(service: ShardedFarmer):
-    out = {}
-    for index, shard in enumerate(service.shards):
-        service.flush_shard(index)
-        for fid, lst in shard.miner.lists().items():
-            if len(lst) and service.shard_of(fid) == index:
-                out[fid] = [(e.fid, e.degree) for e in lst.entries()]
-    return out
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def bench_parallel_mine(benchmark, hp_bench_trace, bench_record, backend):
-    """Executed-parallel batch mine, wall clock (not modeled).
-
-    Asserts the runner's mined lists equal the sequential
-    ``ShardedFarmer.mine`` bit-for-bit, then reports measured elapsed
-    time per phase. ``n_workers=2`` matches the CI smoke configuration.
-    """
-    cfg = BASE.with_(n_shards=4)
-    expected = _owned_lists(ShardedFarmer(cfg).mine(hp_bench_trace))
-
-    def parallel():
-        service = ShardedFarmer(cfg)
-        with ParallelShardRunner(service, n_workers=2, backend=backend) as r:
-            report = r.mine(hp_bench_trace)
-        return service, report
-
-    service, report = benchmark.pedantic(parallel, rounds=2, iterations=1)
-    assert _owned_lists(service) == expected
-    assert report.n_records == len(hp_bench_trace)
-    print(
-        f"\n[{backend} x2 workers: {report.throughput:,.0f} rec/s wall-clock; "
-        f"partition {report.partition_s * 1e3:.0f}ms, "
-        f"ingest {report.ingest_s * 1e3:.0f}ms, "
-        f"flush {report.flush_s * 1e3:.0f}ms]"
-    )
-    if backend == "process":
-        # the shared-snapshot protocol: per-dispatch payloads (token +
-        # touched nodes + fids) must stay far below shipping the whole
-        # shard (graph + vector store + vocabulary) per dispatch
-        assert 0 < report.dispatch_bytes
-        assert 0 < report.shared_bytes
-        print(
-            f"[process dispatch: {report.dispatch_bytes:,} payload bytes + "
-            f"{report.shared_bytes:,} once-per-batch snapshot bytes]"
-        )
-    bench_record(
-        wall_clock_records_per_s=report.throughput,
-        partition_s=report.partition_s,
-        ingest_s=report.ingest_s,
-        flush_s=report.flush_s,
-        elapsed_s=report.elapsed_s,
-        n_workers=report.n_workers,
-        dispatch_bytes=report.dispatch_bytes,
-        shared_bytes=report.shared_bytes,
-        lists_equal_sequential=True,
-    )
-
-
 def bench_routed_prefetch_cluster(benchmark, hp_bench_trace, bench_record):
     """Cluster-routed prefetch vs candidate-drop in the 4-MDS cluster.
 
@@ -250,6 +172,7 @@ def bench_routed_prefetch_cluster(benchmark, hp_bench_trace, bench_record):
     BENCH_service.json-recorded) property is a strictly higher demand
     hit ratio.
     """
+
     config = SimulationConfig(n_mds=4, cache_capacity=24)
 
     def engine():
@@ -291,6 +214,7 @@ def bench_rebalance_migration(benchmark, hp_bench_trace, bench_record):
     contract is a minority move, so migration stays far cheaper than
     the re-mine it replaces.
     """
+
     cfg = BASE.with_(n_shards=4, shard_policy="consistent_hash")
 
     def migrate():
@@ -325,6 +249,7 @@ def bench_failover_recovery(benchmark, hp_bench_trace, bench_record):
     every promotion restores a populated partition at zero loss (the
     batch mine ends on a sync barrier).
     """
+
     cfg = BASE.with_(
         n_shards=4, replication=True, standby_sync_interval=500
     )
@@ -363,15 +288,14 @@ def bench_standby_sync_overhead(benchmark, hp_bench_trace, bench_record):
     recorded number is the wall-clock overhead ratio, the price of a
     500-request failover loss window.
     """
-    import time as _time
 
     def replay(cfg):
         service = ShardedFarmer(cfg)
-        start = _time.perf_counter()
+        start = time.perf_counter()
         for record in hp_bench_trace:
             service.observe(record)
             service.predict(record.fid)
-        return service, _time.perf_counter() - start
+        return service, time.perf_counter() - start
 
     replay(BASE.with_(n_shards=4))  # warm-up
 
@@ -456,19 +380,17 @@ def bench_online_ingest(benchmark, hp_bench_trace, bench_record):
     API serves), and per-endpoint p50/p95/p99 for ``predict`` and
     ``ingest_batch``.
     """
-    import time as _time
-
     from repro.online import OnlineService
 
     def run():
         with OnlineService(BASE.with_(n_shards=4), batch_size=256) as svc:
-            start = _time.perf_counter()
+            start = time.perf_counter()
             for i, record in enumerate(hp_bench_trace):
                 svc.offer(record)
                 if i % 16 == 0:
                     svc.predict(record.fid)
             svc.drain()
-            elapsed = _time.perf_counter() - start
+            elapsed = time.perf_counter() - start
         return svc, elapsed
 
     svc, elapsed = benchmark.pedantic(run, rounds=2, iterations=1)
@@ -519,8 +441,6 @@ def bench_snapshot_restore(benchmark, hp_bench_trace, bench_record, tmp_path):
     was journaled.
     """
     import shutil as _shutil
-    import time as _time
-
     from repro.durability import DurabilityManager
     from repro.online import AdmissionPolicy, OnlineService
 
@@ -531,11 +451,11 @@ def bench_snapshot_restore(benchmark, hp_bench_trace, bench_record, tmp_path):
     data_dir = tmp_path / "bench-data"
 
     def ingest(online):
-        start = _time.perf_counter()
+        start = time.perf_counter()
         for record in hp_bench_trace:
             online.offer(record)
         online.drain()
-        return _time.perf_counter() - start
+        return time.perf_counter() - start
 
     def run():
         _shutil.rmtree(data_dir, ignore_errors=True)
@@ -579,49 +499,6 @@ def bench_snapshot_restore(benchmark, hp_bench_trace, bench_record, tmp_path):
         replay_records_per_s=replay_rate,
         replay_records=recovery.wal_replayed,
         recovery_elapsed_s=recovery.elapsed_s,
-    )
-
-
-def bench_parallel_vs_sequential_wall_clock(
-    benchmark, hp_bench_trace, bench_record
-):
-    """The full wall-clock comparison (single miner, sequential sharded,
-    thread and process runners) — the numbers BENCH_service.json keeps
-    for the perf trajectory."""
-
-    def compare():
-        return compare_parallel_mine(
-            hp_bench_trace,
-            BASE.with_(n_shards=4),
-            n_workers=2,
-            backends=("thread", "process"),
-        )
-
-    cmp_ = benchmark.pedantic(compare, rounds=2, iterations=1)
-    assert cmp_.n_records == len(hp_bench_trace)
-    lines = [
-        f"{run.backend}: {run.elapsed_s * 1e3:.0f}ms "
-        f"({cmp_.speedup_vs_sequential(run):.2f}x vs sequential)"
-        for run in cmp_.runs
-    ]
-    print(
-        f"\n[wall clock: single {cmp_.single_mine_s * 1e3:.0f}ms, "
-        f"sequential sharded {cmp_.sequential_mine_s * 1e3:.0f}ms, "
-        + ", ".join(lines)
-        + "]"
-    )
-    bench_record(
-        single_mine_s=cmp_.single_mine_s,
-        sequential_mine_s=cmp_.sequential_mine_s,
-        **{
-            f"{run.backend}_elapsed_s": run.elapsed_s for run in cmp_.runs
-        },
-        **{
-            f"{run.backend}_speedup_vs_sequential": cmp_.speedup_vs_sequential(
-                run
-            )
-            for run in cmp_.runs
-        },
     )
 
 

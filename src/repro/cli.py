@@ -16,11 +16,11 @@ Usage::
     farmer-repro storage pipeline --tiering all --json
 
 or equivalently ``python -m repro ...``. The ``service`` subcommand
-measures the sharded mining service against the single-miner baseline
-(aggregate throughput modeled as records over the slowest shard's
-replay — see :mod:`repro.service.harness`), and can additionally
-demonstrate shard rebalancing (``--rebalance``) and the cluster-routed
-prefetch path (``--mds`` / ``--routed-prefetch``). The ``serve``
+times the sharded mining service's ``observe``/``predict`` loop against
+a plain single-miner ``Farmer`` by wall clock on one thread and prints
+the measured rates, and can additionally demonstrate shard rebalancing
+(``--rebalance``) and the cluster-routed prefetch path (``--mds`` /
+``--routed-prefetch``). The ``serve``
 subcommand runs the *online* ingestion service instead: trace-tailing
 or replay agents in front of a bounded admission queue, a consumer
 draining into the shards, and an HTTP query/admin API with live
@@ -57,7 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(all_p)
 
     svc_p = sub.add_parser(
-        "service", help="benchmark the sharded mining service vs one miner"
+        "service",
+        help="benchmark the sharded mining service vs one miner",
+        description=(
+            "Time the sharded service's observe/predict loop against one "
+            "plain Farmer by wall clock on one thread. The shards run in "
+            "turn, so the rates are measured, not modeled: boundary "
+            "echoes add work and sharded rates sit below the single "
+            "miner's (see docs/benchmarks.md)."
+        ),
     )
     svc_p.add_argument(
         "--trace", default="hp", help="synthetic trace profile (default hp)"
@@ -186,12 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc_p.add_argument(
         "--kernel",
-        choices=("bulk", "entrywise", "array"),
+        choices=("bulk", "entrywise"),
         default="bulk",
         help=(
-            "re-rank kernel: bulk (pure-python one-pass, the default), "
-            "entrywise (per-edge reference), or array (vectorized over "
-            "numpy; bit-identical output, fastest)"
+            "re-rank kernel: bulk (one-pass, the default) or entrywise "
+            "(per-edge paper-literal oracle; bit-identical output)"
         ),
     )
     svc_p.add_argument(
@@ -204,25 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-predict",
         action="store_true",
         help="time observe() only (skip the per-request FPA predict)",
-    )
-    svc_p.add_argument(
-        "--parallel",
-        type=str,
-        default=None,
-        metavar="BACKENDS",
-        help=(
-            "also run the executed-parallel batch-mine wall-clock mode on "
-            "these comma-separated backends (thread,process). Note: on a "
-            "machine with fewer cores than workers (e.g. a 1-core CI "
-            "container) the measured numbers show executor overhead, not "
-            "speedup — see docs/benchmarks.md"
-        ),
-    )
-    svc_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for --parallel (default: min(shards, cores))",
     )
 
     wl_p = sub.add_parser(
@@ -378,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--kernel",
-        choices=("bulk", "entrywise", "array"),
+        choices=("bulk", "entrywise"),
         default="bulk",
         help="re-rank kernel",
     )
@@ -499,10 +487,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replay(miner, records, predict: bool) -> float:
+    """Wall-clock seconds to drive ``miner`` (a Farmer or ShardedFarmer)
+    through ``observe`` (plus the FPA ``predict`` per request) and a
+    final ``snapshot`` that ranks every list still dirty."""
+    start = time.perf_counter()
+    for record in records:
+        miner.observe(record)
+        if predict:
+            miner.predict(record.fid)
+    miner.snapshot()
+    return time.perf_counter() - start
+
+
 def _run_service(args: argparse.Namespace) -> int:
     from repro.core.farmer import Farmer
     from repro.experiments.common import farmer_config_for
-    from repro.service.harness import compare_single_vs_sharded, replay_single
+    from repro.service.sharded import ShardedFarmer
     from repro.traces.synthetic import generate_trace
 
     policy = args.router or args.policy or "hash"
@@ -526,36 +527,33 @@ def _run_service(args: argparse.Namespace) -> int:
     records = generate_trace(args.trace, args.events, seed=args.seed)
     predict = not args.no_predict
     mode = "observe+predict" if predict else "observe"
-    single_s = replay_single(Farmer(base), records, predict=predict)
+    single = Farmer(base)
+    single_s = _replay(single, records, predict)
     rows = [
         (
-            "1 (baseline)",
+            "1 (plain Farmer)",
             len(records),
             0,
             f"{single_s:.2f}",
             f"{len(records) / single_s:,.0f}",
             "1.00x",
-            "-",
+            f"{single.sim_cache_stats().hit_rate:.1%}",
         )
     ]
     for n_shards in (int(s) for s in args.shards.split(",") if s):
         if n_shards == 1:
             continue
-        cmp_ = compare_single_vs_sharded(
-            records,
-            base.with_(n_shards=n_shards),
-            predict=predict,
-            single_elapsed_s=single_s,
-        )
+        service = ShardedFarmer(base.with_(n_shards=n_shards))
+        elapsed = _replay(service, records, predict)
         rows.append(
             (
                 str(n_shards),
-                cmp_.n_records,
-                cmp_.n_boundary_echoes,
-                f"{cmp_.critical_path_s:.2f}",
-                f"{cmp_.aggregate_throughput:,.0f}",
-                f"{cmp_.speedup:.2f}x",
-                f"{cmp_.cache_hit_rate:.1%}",
+                service.n_observed,
+                service.n_boundary_echoes,
+                f"{elapsed:.2f}",
+                f"{service.n_observed / elapsed:,.0f}",
+                f"{single_s / elapsed:.2f}x",
+                f"{service.sim_cache_stats().hit_rate:.1%}",
             )
         )
     print(
@@ -563,7 +561,7 @@ def _run_service(args: argparse.Namespace) -> int:
         f"(router={policy}, cross_shard_edges={not args.isolate}, "
         f"shared_sim_cache={not args.per_shard_cache}, "
         f"freeze={args.freeze}, echo_interval={args.echo_interval}, "
-        f"mode={mode})"
+        f"mode={mode}; wall clock, one thread)"
     )
     print(
         format_table(
@@ -571,17 +569,15 @@ def _run_service(args: argparse.Namespace) -> int:
                 "shards",
                 "records",
                 "echoes",
-                "critical path s",
+                "wall s",
                 f"{mode}/s",
-                "speedup",
+                "vs 1 miner",
                 "cache hit",
             ),
             rows,
         )
     )
     if args.rebalance is not None:
-        from repro.service.sharded import ShardedFarmer
-
         n_before = max(
             (int(s) for s in args.shards.split(",") if s), default=4
         )
@@ -595,8 +591,6 @@ def _run_service(args: argparse.Namespace) -> int:
             f"— only owner-changed fids move; nothing is re-mined"
         )
     if args.fail_shard is not None or args.auto_rebalance:
-        from repro.service.sharded import ShardedFarmer
-
         n_svc = max((int(s) for s in args.shards.split(",") if s), default=4)
         n_svc = max(n_svc, 2)  # failover/rebalance need a real partition
         service = ShardedFarmer(base.with_(n_shards=n_svc)).mine(records)
@@ -634,7 +628,6 @@ def _run_service(args: argparse.Namespace) -> int:
                 f"{auto.rebalance.elapsed_s * 1e3:.1f}ms"
             )
     if args.mds is not None:
-        from repro.service.sharded import ShardedFarmer
         from repro.storage.cluster import SimulationConfig, run_simulation
         from repro.storage.prefetch import ShardedFarmerPrefetcher
 
@@ -684,65 +677,6 @@ def _run_service(args: argparse.Namespace) -> int:
                     "mean resp us",
                 ),
                 cluster_rows,
-            )
-        )
-    if args.parallel:
-        import os
-
-        from repro.service.harness import compare_parallel_mine
-
-        backends = tuple(b for b in args.parallel.split(",") if b)
-        wall_rows = []
-        single_mine_s = None  # measured once; independent of n_shards
-        for n_shards in (int(s) for s in args.shards.split(",") if s):
-            if n_shards == 1:
-                continue
-            cmp_ = compare_parallel_mine(
-                records,
-                base.with_(n_shards=n_shards),
-                n_workers=args.workers,
-                backends=backends,
-                single_mine_s=single_mine_s,
-            )
-            single_mine_s = cmp_.single_mine_s
-            for run in cmp_.runs:
-                wall_rows.append(
-                    (
-                        str(n_shards),
-                        run.backend,
-                        run.n_workers,
-                        f"{cmp_.single_mine_s:.2f}",
-                        f"{cmp_.sequential_mine_s:.2f}",
-                        f"{run.elapsed_s:.2f}",
-                        f"{run.throughput:,.0f}",
-                        f"{cmp_.speedup_vs_sequential(run):.2f}x",
-                    )
-                )
-        print(
-            "\nexecuted-parallel batch mine (wall clock, not modeled; "
-            "sequential = ShardedFarmer.mine on one thread)"
-        )
-        cores = os.cpu_count() or 1
-        if args.workers is not None and cores < args.workers:
-            print(
-                f"note: this machine has {cores} core(s) for "
-                f"{args.workers} requested workers — the parallel numbers "
-                f"below measure executor overhead, not speedup (see "
-                f"docs/benchmarks.md)"
-            )
-        print(
-            format_table(
-                (
-                    "shards",
-                    "backend",
-                    "workers",
-                    "single s",
-                    "sequential s",
-                    "parallel s",
-                    "mine/s",
-                    "speedup",
-                ),
-                wall_rows,
             )
         )
     return 0

@@ -10,7 +10,7 @@ from repro.core.config import DEFAULT_ATTRIBUTES, PATHLESS_ATTRIBUTES, FarmerCon
 from repro.core.constructor import GraphConstructor
 from repro.core.extractor import Extractor
 from repro.core.farmer import Farmer, FarmerStats
-from repro.core.simcache import SharedSimilarityCache, SimCacheStats, SimilarityCache
+from repro.core.simcache import SimCacheStats, SimilarityCache
 from repro.core.sorter import CorrelationSnapshot, Sorter
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Extractor",
     "Farmer",
     "FarmerStats",
-    "SharedSimilarityCache",
     "SimCacheStats",
     "SimilarityCache",
     "CorrelationSnapshot",

@@ -77,75 +77,15 @@ capacity cut.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from repro.core.config import FarmerConfig
 from repro.core.constructor import GraphConstructor
 from repro.core.simcache import SimCacheStats, SimilarityCache
-from repro.errors import ConfigError
 from repro.graph.correlator_list import CorrelatorList
 from repro.vsm.similarity import dpa_similarity, ipa_similarity
-from repro.vsm.vector import bag_intersection
-
-try:  # numpy is optional: only the "array" kernel needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 __all__ = ["CoMiner", "RerankStats"]
-
-# Soft cap on the array kernel's path-pair intersection memo; on
-# overflow it is cleared wholesale (values are pure functions of the
-# keys, so eviction policy only affects speed).
-_PATH_MEMO_CAP = 200_000
-
-
-class _RankRecord:
-    """The array kernel's memo of one source's last full rank.
-
-    Holds the similarity row and the exact inputs it was computed from,
-    so the next flush of the same source can reuse Function-1 work
-    without any per-pair cache traffic:
-
-    * ``node`` is the live :class:`NodeState` *by identity* — a record
-      only ever validates against the very object it was computed from,
-      which makes it immune to tick/version coincidences across
-      ``pop_node``/``adopt_node`` replacements;
-    * ``change_tick`` + ``vec_epoch`` unchanged ⇒ every input of the
-      list is provably unchanged ⇒ the whole re-rank is skipped;
-    * ``succ_version`` + ``ver_a`` unchanged ⇒ the successor slots are
-      aligned with the stored row ⇒ sims are reused wholesale (same
-      vector-store epoch) or per-entry by destination version;
-    * ``sims is None`` encodes the all-zeros row (``p == 0`` or no
-      source vector) without storing it.
-    """
-
-    __slots__ = (
-        "node",
-        "change_tick",
-        "succ_version",
-        "vec_epoch",
-        "ver_a",
-        "n_x",
-        "ver_b",
-        "sims",
-        "n_xy",
-    )
-
-    def __init__(
-        self, node, change_tick, succ_version, vec_epoch, ver_a, n_x,
-        ver_b, sims, n_xy,
-    ):
-        self.node = node
-        self.change_tick = change_tick
-        self.succ_version = succ_version
-        self.vec_epoch = vec_epoch
-        self.ver_a = ver_a
-        self.n_x = n_x
-        self.ver_b = ver_b  # list of dst versions, or None (zeros row)
-        self.sims = sims  # list of floats aligned with node slots, or None
-        self.n_xy = n_xy  # array('d') copy of succ_weights at rank time
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,8 +119,9 @@ class CoMiner:
     ) -> None:
         self.config = config
         self.constructor = constructor
-        # ``sim_cache`` may be injected (a SharedSimilarityCache) so all
-        # shards of a sharded deployment reuse each other's Function-1 work
+        # ``sim_cache`` may be injected (one cache handed to every shard)
+        # so the shards of a sharded service reuse each other's
+        # Function-1 work
         self.sim_cache = (
             sim_cache if sim_cache is not None else SimilarityCache(config.sim_cache_capacity)
         )
@@ -193,19 +134,10 @@ class CoMiner:
         # successor set on every bulk re-rank
         self._stamps: dict[int, dict[int, tuple]] = {}
         self._bulk = config.rerank_kernel == "bulk"
-        self._array = config.rerank_kernel == "array"
-        if self._array and _np is None:
-            raise ConfigError(
-                "rerank_kernel='array' requires numpy, which is not "
-                "installed; use the pure-python 'bulk' kernel instead"
-            )
         self._incremental = self._bulk and config.incremental_rerank
-        # array-kernel state: per-source rank records (see _RankRecord),
-        # the bulk kernel's (tick, epoch) whole-list-skip stamps, and the
-        # persistent path-pair intersection memo the inlined IPA uses
-        self._rank_records: dict[int, _RankRecord] = {}
+        # src -> vector-store epoch at its last bulk rank: with the
+        # ranked tick, the whole-list skip proof
         self._ranked_epoch: dict[int, int] = {}
-        self._path_memo: dict[tuple, float] = {}
         self._n_reevaluations = 0
         self._entries_scanned = 0
         self._entries_skipped = 0
@@ -308,9 +240,6 @@ class CoMiner:
         Clears the dirty flag and records the graph tick ranked at."""
         if self._bulk:
             return self._reevaluate_bulk(src)
-        if self._array:
-            self._flush_array((src,))
-            return self._lists[src]
         return self._reevaluate_entrywise(src)
 
     def _reevaluate_bulk(self, src: int) -> CorrelatorList:
@@ -445,314 +374,6 @@ class CoMiner:
         self._ranked_tick[src] = self.constructor.graph.change_tick(src)
         return lst
 
-    def _flush_array(self, fids, out=None):
-        """The "array" kernel: rank every given source in one vectorized
-        batch (Algorithm 1 over the union of their successor sets).
-
-        One assembly pass gathers each node's flat successor slices
-        (``succ_fids``/``succ_weights`` extend locally-owned buffers — a
-        C memcpy each) and the Function-1 similarity row (reused from
-        the source's :class:`_RankRecord` when versions allow, else
-        computed inline with a persistent path-pair memo); then numpy
-        evaluates Function 2 over the whole concatenated batch at once —
-        ``R = sim·p + min(N_xy/N_x, 1)·q`` elementwise, with an ``inf``
-        divisor encoding the freq=0 cases so the arithmetic (and its
-        IEEE rounding) matches the scalar kernels bit-for-bit — and each
-        list is materialised by one rebuild over its slice.
-
-        Unlike the scalar kernels this path never touches the shared
-        similarity cache: the rank records are its memo (one row per
-        source, validated by node identity + versions), which keeps the
-        hot loop free of per-pair dict traffic. Counters advance exactly
-        as the bulk kernel's would (reevaluations, scanned; a provably
-        unchanged list is skipped whole with ``entries_skipped_unchanged``
-        advancing by its length).
-
-        When ``out`` is a dict, every flushed source's list is recorded
-        in it (the :meth:`flush_nodes_report` contract).
-        """
-        np = _np
-        constructor = self.constructor
-        nodes = constructor.graph.node_map()
-        store = constructor.vectors
-        vectors, versions = store.maps()
-        epoch = store.epoch()
-        config = self.config
-        p = config.weight_p
-        q = 1.0 - p
-        use_sim = p > 0.0
-        use_freq = p < 1.0
-        inline_ipa = config.path_method == "ipa" and config.path_mode == "bag"
-        if inline_ipa:
-            sim_fn = None
-        elif config.path_method == "ipa":
-            mode = config.path_mode
-            sim_fn = lambda a, b: ipa_similarity(a, b, mode)
-        else:
-            sim_fn = dpa_similarity
-        records = self._rank_records
-        ranked = self._ranked_tick
-        lists = self._lists
-        dirty_discard = self._dirty.discard
-        vget = vectors.get
-        pmemo = self._path_memo
-        if len(pmemo) > _PATH_MEMO_CAP:
-            pmemo.clear()
-        inf = float("inf")
-
-        # assembly buffers: one contiguous batch across all sources
-        all_w = array("d")
-        all_f = array("q")
-        sims: list[float] = []
-        sims_append = sims.append
-        nx_div: list[float] = []
-        lens: list[int] = []
-        meta: list[tuple] = []
-        n_re = 0
-        n_scanned = 0
-        n_skipped = 0
-
-        for src in fids:
-            node = nodes.get(src)
-            d = len(node.succ_fids) if node is not None else 0
-            if d == 0:
-                lst = self._list_for(src)
-                lst.rebuild(())
-                n_re += 1
-                dirty_discard(src)
-                ranked[src] = node.change_tick if node is not None else 0
-                records.pop(src, None)
-                if out is not None:
-                    out[src] = lst
-                continue
-            tick = node.change_tick
-            rec = records.get(src)
-            if rec is not None and rec.node is not node:
-                # the graph replaced the node object (pop/adopt); the
-                # record described a different object's counters
-                records.pop(src)
-                rec = None
-            if (
-                rec is not None
-                and rec.change_tick == tick
-                and rec.vec_epoch == epoch
-            ):
-                # every input of the list is provably unchanged since
-                # its last rank: skip the scan whole (counter parity)
-                n_re += 1
-                n_scanned += d
-                n_skipped += d
-                dirty_discard(src)
-                ranked[src] = tick
-                if out is not None:
-                    out[src] = lists[src]
-                continue
-            n_re += 1
-            n_scanned += d
-            n_x = node.access_count
-            va = vget(src)
-            ver_a = versions[src] if va is not None else 0
-            succ_fids = node.succ_fids
-            succ_w = node.succ_weights
-            all_f.extend(succ_fids)
-            all_w.extend(succ_w)
-            nx_div.append(float(n_x) if (use_freq and n_x) else inf)
-            lens.append(d)
-            record_it = rec is not None or src in ranked
-            ver_b: list | None = None
-            zeros = False
-            pre_skipped = 0
-            if not use_sim or va is None:
-                # the all-zeros similarity row (recorded as sims=None)
-                sims.extend((0.0,) * d)
-                zeros = True
-            elif (
-                rec is not None
-                and rec.succ_version == node.succ_version
-                and rec.ver_a == ver_a
-                and rec.sims is not None
-            ):
-                rec_sims = rec.sims
-                if rec.vec_epoch == epoch:
-                    # no vector anywhere changed since the record: the
-                    # whole similarity row is still exact
-                    sims.extend(rec_sims)
-                    ver_b = rec.ver_b
-                    if n_x == rec.n_x:
-                        cur = np.frombuffer(succ_w, dtype=np.float64)
-                        old = np.frombuffer(rec.n_xy, dtype=np.float64)
-                        pre_skipped = int(np.count_nonzero(cur == old))
-                else:
-                    # some vector moved: reuse sims whose destination
-                    # version is unchanged, recompute the rest
-                    rec_verb = rec.ver_b
-                    rec_nxy = rec.n_xy
-                    nx_same = n_x == rec.n_x
-                    new_verb: list = []
-                    verb_append = new_verb.append
-                    for k in range(d):
-                        dst = succ_fids[k]
-                        vb = vget(dst)
-                        if vb is None:
-                            nv = 0
-                            s = 0.0
-                            reused = rec_verb[k] == 0
-                        else:
-                            nv = versions[dst]
-                            if nv == rec_verb[k]:
-                                s = rec_sims[k]
-                                reused = True
-                            else:
-                                s = (
-                                    self._ipa_bag(va, vb, pmemo)
-                                    if inline_ipa
-                                    else sim_fn(va, vb)
-                                )
-                                reused = False
-                        verb_append(nv)
-                        sims_append(s)
-                        if reused and nx_same and succ_w[k] == rec_nxy[k]:
-                            pre_skipped += 1
-                    ver_b = new_verb
-            else:
-                # full Function-1 row
-                if record_it:
-                    ver_b = []
-                    verb_append = ver_b.append
-                if inline_ipa:
-                    na = va.n_ipa
-                    sa = va._scalar_set
-                    if sa is None:
-                        sa = va.scalar_set
-                    pa = va.path_ids
-                    spa = va.sorted_path if pa else None
-                    lpa = len(pa) if pa else 0
-                    for dst in succ_fids:
-                        vb = vget(dst)
-                        if vb is None:
-                            sims_append(0.0)
-                            if record_it:
-                                verb_append(0)
-                            continue
-                        nb = vb.n_ipa
-                        denom = na if na >= nb else nb
-                        if denom == 0:
-                            s = 0.0
-                        else:
-                            sb = vb._scalar_set
-                            if sb is None:
-                                sb = vb.scalar_set
-                            hits = float(len(sa & sb))
-                            pb = vb.path_ids
-                            if pa and pb:
-                                key = (spa, vb.sorted_path)
-                                h = pmemo.get(key)
-                                if h is None:
-                                    lpb = len(pb)
-                                    h = bag_intersection(spa, key[1]) / (
-                                        lpa if lpa >= lpb else lpb
-                                    )
-                                    pmemo[key] = h
-                                hits += h
-                            s = hits / denom
-                        sims_append(s)
-                        if record_it:
-                            verb_append(versions[dst])
-                else:
-                    for dst in succ_fids:
-                        vb = vget(dst)
-                        if vb is None:
-                            sims_append(0.0)
-                            if record_it:
-                                verb_append(0)
-                        else:
-                            sims_append(sim_fn(va, vb))
-                            if record_it:
-                                verb_append(versions[dst])
-            meta.append(
-                (src, node, tick, d, record_it, ver_a, n_x, ver_b, zeros,
-                 pre_skipped)
-            )
-
-        if meta:
-            # Function 2 over the whole batch. Per entry the arithmetic
-            # is (sim*p) + (min(n_xy/n_x, 1.0)*q) in exactly the scalar
-            # kernels' operation order, so IEEE rounding agrees; the inf
-            # divisor yields +0.0 for the n_x==0 / p==1 cases, matching
-            # their freq=0.0 branch bit-for-bit.
-            w = np.frombuffer(all_w, dtype=np.float64)
-            fid_view = np.frombuffer(all_f, dtype=np.int64)
-            sims_arr = np.array(sims, dtype=np.float64)
-            divisors = np.repeat(
-                np.array(nx_div, dtype=np.float64), np.array(lens)
-            )
-            freqs = w / divisors
-            np.minimum(freqs, 1.0, out=freqs)
-            degrees = sims_arr * p
-            degrees += freqs * q
-            pos = 0
-            for (src, node, tick, d, record_it, ver_a, n_x, ver_b, zeros,
-                 pre_skipped) in meta:
-                end = pos + d
-                lst = self._list_for(src)
-                if d >= 64 and d > lst.capacity:
-                    lst.rebuild_arrays(fid_view[pos:end], degrees[pos:end])
-                else:
-                    lst.rebuild(zip(node.succ_fids, degrees[pos:end].tolist()))
-                if record_it:
-                    records[src] = _RankRecord(
-                        node,
-                        tick,
-                        node.succ_version,
-                        epoch,
-                        ver_a,
-                        n_x,
-                        ver_b,
-                        None if zeros else sims[pos:end],
-                        node.succ_weights[:],
-                    )
-                n_skipped += pre_skipped
-                dirty_discard(src)
-                ranked[src] = tick
-                if out is not None:
-                    out[src] = lst
-                pos = end
-        self._n_reevaluations += n_re
-        self._entries_scanned += n_scanned
-        self._entries_skipped += n_skipped
-        return out
-
-    @staticmethod
-    def _ipa_bag(va, vb, pmemo) -> float:
-        """One IPA(bag) similarity with the path-pair memo (the cold
-        path of the per-entry reuse loop; mirrors ``ipa_similarity``)."""
-        na = va.n_ipa
-        nb = vb.n_ipa
-        denom = na if na >= nb else nb
-        if denom == 0:
-            return 0.0
-        sa = va._scalar_set
-        if sa is None:
-            sa = va.scalar_set
-        sb = vb._scalar_set
-        if sb is None:
-            sb = vb.scalar_set
-        hits = float(len(sa & sb))
-        pa = va.path_ids
-        pb = vb.path_ids
-        if pa and pb:
-            key = (va.sorted_path, vb.sorted_path)
-            h = pmemo.get(key)
-            if h is None:
-                lpa = len(pa)
-                lpb = len(pb)
-                h = bag_intersection(key[0], key[1]) / (
-                    lpa if lpa >= lpb else lpb
-                )
-                pmemo[key] = h
-            hits += h
-        return hits / denom
-
     def reevaluate_edge(self, src: int, dst: int) -> None:
         """Refresh a single (src → dst) entry after an edge reinforcement."""
         self._list_for(src).update(dst, self.correlation_degree(src, dst))
@@ -808,10 +429,6 @@ class CoMiner:
 
     def flush_all(self) -> None:
         """Re-rank every dirty list (aggregate queries call this first)."""
-        if self._array:
-            while self._dirty:
-                self._flush_array(sorted(self._dirty))
-            return
         while self._dirty:
             self.reevaluate(next(iter(self._dirty)))
 
@@ -820,24 +437,9 @@ class CoMiner:
         any whose graph change tick has not moved since it was last
         ranked (``Farmer.mine`` collects the fids its batch touched and
         defers all list maintenance to one such pass at the end, so
-        chunked mining costs O(touched), not O(graph)). The array kernel
-        ranks the survivors as one vectorized batch."""
+        chunked mining costs O(touched), not O(graph))."""
         nodes = self.constructor.graph.node_map()
         ranked = self._ranked_tick
-        if self._array:
-            todo = []
-            append = todo.append
-            discard = self._dirty.discard
-            for fid in fids:
-                node = nodes.get(fid)
-                tick = node.change_tick if node is not None else 0
-                if ranked.get(fid, 0) != tick:
-                    append(fid)
-                else:
-                    discard(fid)
-            if todo:
-                self._flush_array(todo)
-            return
         for fid in fids:
             node = nodes.get(fid)
             tick = node.change_tick if node is not None else 0
@@ -854,51 +456,22 @@ class CoMiner:
         self._dirty.clear()
 
     # ------------------------------------------------------------------
-    # parallel-runner seam
+    # migration (the shard-rebalancing and standby-sync seam)
     # ------------------------------------------------------------------
 
     def flush_nodes_report(self, fids) -> dict[int, CorrelatorList]:
         """:meth:`flush_nodes` that also returns the re-ranked lists —
-        the process-backend worker entry point: the worker flushes a
-        pickled snapshot and ships exactly the lists it rebuilt back."""
+        a rebalance migration and a standby sync barrier ship exactly
+        the lists it rebuilt."""
         graph = self.constructor.graph
         ranked = self._ranked_tick
         out: dict[int, CorrelatorList] = {}
-        if self._array:
-            todo = []
-            for fid in fids:
-                if ranked.get(fid, 0) != graph.change_tick(fid):
-                    todo.append(fid)
-                else:
-                    self._dirty.discard(fid)
-            if todo:
-                self._flush_array(todo, out)
-            return out
         for fid in fids:
             if ranked.get(fid, 0) != graph.change_tick(fid):
                 out[fid] = self.reevaluate(fid)
             else:
                 self._dirty.discard(fid)
         return out
-
-    def adopt_ranked(self, lists: dict[int, CorrelatorList], fids) -> None:
-        """Install lists re-ranked elsewhere (a process worker) as if
-        :meth:`flush_nodes` over ``fids`` had run here: lists replaced,
-        dirty flags cleared, ranked ticks stamped at the current graph
-        state. The worker's stamp/cache side-state stays behind — stamps
-        are validated against live inputs, so losing them costs a
-        recomputation, never correctness."""
-        graph = self.constructor.graph
-        for fid, lst in lists.items():
-            self._lists[fid] = lst
-            self._ranked_tick[fid] = graph.change_tick(fid)
-            self._ranked_epoch.pop(fid, None)
-        for fid in fids:
-            self._dirty.discard(fid)
-
-    # ------------------------------------------------------------------
-    # migration (the shard-rebalancing seam)
-    # ------------------------------------------------------------------
 
     def extract_state(self, fid: int) -> CorrelatorList | None:
         """Detach everything this miner holds for ``fid`` and return its
@@ -912,7 +485,6 @@ class CoMiner:
         self._dirty.discard(fid)
         self._ranked_tick.pop(fid, None)
         self._stamps.pop(fid, None)
-        self._rank_records.pop(fid, None)
         self._ranked_epoch.pop(fid, None)
         return self._lists.pop(fid, None)
 
@@ -929,7 +501,6 @@ class CoMiner:
         self._lists[fid] = lst
         self._ranked_tick[fid] = tick
         self._stamps.pop(fid, None)
-        self._rank_records.pop(fid, None)
         self._ranked_epoch.pop(fid, None)
         self._dirty.discard(fid)
 
@@ -978,8 +549,4 @@ class CoMiner:
             + 56 * len(self._ranked_epoch)
             + 32 * len(self._dirty)
             + sum(88 + 144 * len(d) for d in self._stamps.values())
-            + sum(
-                160 + 48 * len(r.n_xy)
-                for r in self._rank_records.values()
-            )
         )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
@@ -60,13 +59,8 @@ class FarmerConfig:
             evaluation + a single sort/threshold/capacity cut via
             ``CorrelatorList.rebuild``), "entrywise" (offer every
             successor through ``CorrelatorList.update``, a binary
-            insertion each — the reference path the equivalence tests
-            compare against), or "array" (batch-vectorized: Function-1
-            and Function-2 evaluated with numpy over every candidate of
-            every flushed list at once, reading the graph's flat
-            successor arrays directly; requires numpy and raises
-            ``ConfigError`` without it). All three produce bit-identical
-            lists.
+            insertion each — the paper-literal oracle the equivalence
+            tests compare against). Both produce bit-identical lists.
         incremental_rerank: if True (default), the re-rank keeps a
             ``(vector-version pair, N_xy, N_x)`` stamp per Correlator
             entry and skips both Function 1 and Function 2 for
@@ -78,9 +72,7 @@ class FarmerConfig:
             when a list's node tick and the vector-store epoch both
             match its last rank, the candidate scan is skipped outright
             (``RerankStats.entries_skipped_unchanged`` still advances).
-            The "array" kernel keeps its own per-source rank records
-            (similarity rows keyed by vector versions) independent of
-            this flag; "entrywise" ignores it.
+            "entrywise" ignores it.
         vector_freeze_threshold: if > 0, a file's semantic vector is
             frozen (updates ignored, version stops bumping) once it has
             changed this many times — the vector-stability heuristic. A
@@ -152,8 +144,8 @@ class FarmerConfig:
             a smaller interval narrows the failover loss window at the
             cost of more sync work.
         shared_sim_cache: if True (default), all shards of a
-            ``ShardedFarmer`` share one thread-safe versioned similarity
-            cache (safe because shards also share the vector store, so
+            ``ShardedFarmer`` share one versioned similarity cache
+            (safe because shards also share the vector store, so
             version keys are namespace-global); if False each shard
             keeps a private cache (strict shard independence).
         cross_shard_edges: if True (default), a request whose immediate
@@ -228,16 +220,8 @@ class FarmerConfig:
             raise ConfigError("prefetch_k must be >= 0")
         if self.sim_cache_capacity < 0:
             raise ConfigError("sim_cache_capacity must be >= 0")
-        if self.rerank_kernel not in ("bulk", "entrywise", "array"):
+        if self.rerank_kernel not in ("bulk", "entrywise"):
             raise ConfigError(f"unknown rerank kernel {self.rerank_kernel!r}")
-        if (
-            self.rerank_kernel == "array"
-            and importlib.util.find_spec("numpy") is None
-        ):
-            raise ConfigError(
-                "rerank_kernel='array' requires numpy, which is not "
-                "installed; use the pure-python 'bulk' kernel instead"
-            )
         if self.vector_freeze_threshold < 0:
             raise ConfigError("vector_freeze_threshold must be >= 0")
         if self.n_shards < 1:

@@ -15,9 +15,9 @@ hits/misses/stale/evictions so benchmarks can report the hit rate.
 A capacity of 0 disables caching entirely (every lookup is a miss and
 nothing is stored) — useful as the eager baseline in benchmarks.
 
-:class:`SharedSimilarityCache` is the multi-shard variant: one instance
-serves every shard of a :class:`~repro.service.ShardedFarmer` behind a
-lock. Version keys make the sharing safe — the service keeps a single
+One instance can serve every shard of a
+:class:`~repro.service.ShardedFarmer` (``shared_sim_cache``). Version
+keys make the sharing safe — the service keeps a single
 namespace-global :class:`~repro.core.vector_store.VectorStore`, so a
 ``(pair, versions)`` entry stored by one shard is exact for every other
 shard, and a shard whose endpoint moved on simply misses.
@@ -25,12 +25,11 @@ shard, and a shard whose endpoint moved on simply misses.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-__all__ = ["SimilarityCache", "SharedSimilarityCache", "SimCacheStats"]
+__all__ = ["SimilarityCache", "SimCacheStats"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,64 +138,3 @@ class SimilarityCache:
         """Approximate resident size (key tuple + value tuple per entry)."""
         return 96 + 160 * len(self._entries)
 
-
-class SharedSimilarityCache(SimilarityCache):
-    """A :class:`SimilarityCache` safe to share across miner shards.
-
-    Every public operation takes an internal lock, so concurrent shards
-    (threads today; the seam for multi-process shards tomorrow) can
-    lookup/store without corrupting the LRU order or the counters. The
-    single-shard hot path stays on the unlocked base class.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, capacity: int = 65536) -> None:
-        super().__init__(capacity)
-        self._lock = threading.Lock()
-
-    def lookup(self, a: int, b: int, ver_a: int, ver_b: int) -> float | None:
-        with self._lock:
-            return super().lookup(a, b, ver_a, ver_b)
-
-    def store(self, a: int, b: int, ver_a: int, ver_b: int, value: float) -> None:
-        with self._lock:
-            super().store(a, b, ver_a, ver_b, value)
-
-    def stats(self) -> SimCacheStats:
-        with self._lock:
-            return super().stats()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return super().__len__()
-
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()
-
-    def approx_bytes(self) -> int:
-        with self._lock:
-            return super().approx_bytes()
-
-    def __getstate__(self):
-        # snapshot for the process-backend runner: entries and counters
-        # travel, the lock is recreated on unpickle
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": dict(self._entries),
-                "hits": self._hits,
-                "misses": self._misses,
-                "stale": self._stale,
-                "evictions": self._evictions,
-            }
-
-    def __setstate__(self, state) -> None:
-        self.capacity = state["capacity"]
-        self._entries = dict(state["entries"])
-        self._hits = state["hits"]
-        self._misses = state["misses"]
-        self._stale = state["stale"]
-        self._evictions = state["evictions"]
-        self._lock = threading.Lock()

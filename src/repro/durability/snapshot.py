@@ -1,7 +1,7 @@
 """Crash-consistent snapshots of a :class:`ShardedFarmer`.
 
 A snapshot is a *faithful* capture of the service's full mining state —
-graph nodes, Correlator Lists, dirty marks, rank records, sliding
+graph nodes, Correlator Lists, dirty marks, rank stamps, sliding
 windows, echo queues, standby replicas, every counter — not a rank at
 the barrier. That distinction is the whole correctness story: the lazy
 re-evaluation schedule defers ranking to query time, so a snapshot that
@@ -113,6 +113,18 @@ class _ResolvingUnpickler(pickle.Unpickler):
             raise PersistenceError(
                 f"snapshot references unknown shared object {pid!r} "
                 f"(snapshot format mismatch?)"
+            ) from None
+
+    def find_class(self, module, name):
+        """The class a snapshot names, or :class:`PersistenceError` when
+        this version no longer defines it (a snapshot written before a
+        class was removed does not restore)."""
+        try:
+            return super().find_class(module, name)
+        except (AttributeError, ImportError):
+            raise PersistenceError(
+                f"snapshot references {module}.{name}, which this version "
+                f"does not define (snapshot written by an older version?)"
             ) from None
 
 

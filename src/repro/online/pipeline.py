@@ -30,14 +30,13 @@ observe is**:
 
 :class:`OnlineService` wraps the pipeline, a :class:`ShardedFarmer`, a
 :class:`~repro.online.telemetry.Telemetry` plane and one re-entrant
-service lock into the long-running object the admin API serves. The
-lock story is coarse and honest: every touch of the sharded miner —
-a consumer draining a batch, a ``predict``, an admin ``rebalance`` —
-holds the same RLock, so queries are served *between* batches while
-mining continues, and the existing single-writer invariants of the
-service layer hold unchanged. (Intra-batch shard parallelism stays the
-:class:`~repro.service.runner.ParallelShardRunner` seam; this layer
-serialises at batch granularity.)
+service lock into the long-running object the admin API serves. That
+lock is the only synchronisation around the miner: every touch of the
+sharded miner — a consumer draining a batch, a ``predict``, an admin
+``rebalance``, a read of its counters — holds it, so queries are
+served *between* batches while mining continues. :class:`ShardedFarmer`
+is single-threaded and its shared stores are plain, unlocked objects;
+the service lock is what makes them safe here.
 """
 
 from __future__ import annotations
@@ -409,10 +408,10 @@ class OnlineService:
         start = time.perf_counter()
         with self._service_lock:
             report = self.service.ingest_stream(batch)
+            tick = self.service.n_observed
         self.telemetry.observe_latency(
             "ingest_batch", time.perf_counter() - start
         )
-        tick = self.service.n_observed
         self.telemetry.sample("queue_depth", tick, self.pipeline.depth)
         if report.n_echoes_shed:
             self.telemetry.incr("ingest.echoes_shed", report.n_echoes_shed)

@@ -5,9 +5,11 @@ servers, but a single :class:`~repro.core.farmer.Farmer` still funnels
 every server through one miner. :class:`ShardedFarmer` removes that
 serial bottleneck: it partitions the fid namespace across ``n_shards``
 independent Farmer shards behind a deterministic
-:mod:`~repro.service.router`, so each shard mines only its own files and
-N shards can run concurrently (one per metadata server in the cluster
-simulator, one per process in a real deployment).
+:mod:`~repro.service.router`, so each shard mines only its own files
+(one per metadata server in the cluster simulator). The service itself
+is single-threaded: every entry point runs the shards in turn on the
+caller's thread, and a multi-threaded caller serialises its touches
+(the online plane holds one service lock around every call).
 
 Shared state — and why sharing is safe
 --------------------------------------
@@ -19,13 +21,14 @@ Three components are deliberately *not* sharded:
 * the **vector store** — a file's semantic vector is a property of the
   namespace, not of a partition, so one store holds the truth and its
   monotonic versions are global;
-* the **similarity cache** (``shared_sim_cache=True``, the default) — a
-  thread-safe :class:`~repro.core.simcache.SharedSimilarityCache` whose
-  entries are keyed on vector versions. Because versions come from the
-  single shared store, an entry written by one shard is exact for every
-  other shard; a shard whose endpoint moved on simply misses. Stale
-  values are unservable by construction, which is what makes cross-shard
-  reuse of Function-1 work safe without invalidation traffic.
+* the **similarity cache** (``shared_sim_cache=True``, the default) —
+  one :class:`~repro.core.simcache.SimilarityCache` handed to every
+  shard, whose entries are keyed on vector versions. Because versions
+  come from the single shared store, an entry written by one shard is
+  exact for every other shard; a shard whose endpoint moved on simply
+  misses. Stale values are unservable by construction, which is what
+  makes cross-shard reuse of Function-1 work safe without invalidation
+  traffic.
 
 Cross-shard edges (``cross_shard_edges``) and batched echoes
 ------------------------------------------------------------
@@ -80,8 +83,7 @@ The router is swappable at runtime: :meth:`ShardedFarmer.rebalance`
 installs a new topology (different shard count, different policy, or
 new consistent-hash weights) and migrates **only the fids whose owner
 changed** — each moved fid's graph node and freshly-ranked Correlator
-List ship from the old owner to the new one through the same
-serialization seam the process-backend runner uses
+List ship from the old owner to the new one
 (:meth:`~repro.core.cominer.CoMiner.flush_nodes_report` /
 ``adopt_migrated``); nothing is re-mined. The shared vocabulary, vector
 store and similarity cache are namespace-global and never move.
@@ -139,9 +141,9 @@ from dataclasses import dataclass
 from repro.core.config import FarmerConfig
 from repro.core.extractor import Extractor
 from repro.core.farmer import Farmer
-from repro.core.simcache import SharedSimilarityCache, SimCacheStats
+from repro.core.simcache import SimCacheStats, SimilarityCache
 from repro.core.sorter import CorrelationSnapshot
-from repro.core.vector_store import ThreadSafeVectorStore
+from repro.core.vector_store import VectorStore
 from repro.errors import ConfigError, ReplicationError, ShardFailedError
 from repro.graph.correlator_list import CorrelatorEntry
 from repro.service.replication import (
@@ -152,7 +154,7 @@ from repro.service.replication import (
 from repro.service.router import ShardRouter, make_router
 from repro.service.stats import ServiceStats, combine_cache_stats, load_signal
 from repro.traces.record import TraceRecord
-from repro.vsm.vocabulary import ThreadSafeVocabulary
+from repro.vsm.vocabulary import Vocabulary
 
 __all__ = [
     "ShardedFarmer",
@@ -253,17 +255,16 @@ class ShardedFarmer:
                 f"router has {router.n_shards} shards, config wants {n}"
             )
         self.router = router
-        # the shared stores are the service's write-contended state: the
-        # vocabulary locks interning (all shards intern), the vector
-        # store locks updates (shards write disjoint fids, but the dicts
-        # underneath still need serialised mutation), and the similarity
-        # cache locks everything. This is what lets ParallelShardRunner
-        # execute shards on real threads.
-        self.vocabulary = ThreadSafeVocabulary()
+        # the namespace-global stores every shard shares by identity.
+        # They are plain, unlocked objects: the service runs its shards
+        # on the caller's thread, and a multi-threaded caller (the online
+        # plane) holds one service lock around every call, so nothing
+        # here is ever touched concurrently.
+        self.vocabulary = Vocabulary()
         self.extractor = Extractor(self.config.attributes, self.vocabulary)
-        self.vector_store = ThreadSafeVectorStore(self.config, self.extractor)
+        self.vector_store = VectorStore(self.config, self.extractor)
         self.sim_cache = (
-            SharedSimilarityCache(self.config.sim_cache_capacity)
+            SimilarityCache(self.config.sim_cache_capacity)
             if self.config.shared_sim_cache
             else None
         )
@@ -468,39 +469,26 @@ class ShardedFarmer:
                 self.sync_standbys()
 
     def _partition(
-        self,
-        records: Iterable[TraceRecord],
-        prev: int | None,
-        drain: bool = True,
+        self, records: Iterable[TraceRecord]
     ) -> tuple[list[list[tuple[TraceRecord, bool]]], int, int | None, int | None]:
-        """The one place the owner/echo substream rule lives.
+        """Split a batch into the per-shard substreams :meth:`mine` feeds.
 
         Returns ``(subs, n_accepted, last_owner, last_fid)`` where
         ``subs[i]`` is shard *i*'s substream of ``(record, is_echo)``
         pairs: the records it owns plus, under ``cross_shard_edges``,
-        the boundary requests echoed to it. ``prev`` seeds the boundary
-        detection (pass the live ``_prev_owner`` to continue a stream,
-        ``None`` for a standalone split).
+        the boundary requests echoed to it. Boundary detection continues
+        the live stream from ``_prev_owner``.
 
         Echo placement follows the configured drain schedule: at
         ``echo_flush_interval == 0`` echoes sit inline in the
         destination's substream (the just-in-time order — bit-identical
         to synchronous delivery); at ``K > 0`` they are appended after
         the destination's owned records, which is exactly the batch
-        schedule's ingest-barrier drain. With ``drain`` (the live-stream
-        paths: ``mine``, the replay harness, the parallel runner), any
-        echoes still queued from a preceding ``observe`` stream are
-        delivered first so the substreams start from drained state;
-        ``drain=False`` keeps the call side-effect-free (the standalone
-        :meth:`partition` split).
+        schedule's ingest-barrier drain. Any echoes still queued from a
+        preceding ``observe`` stream are delivered first so the
+        substreams start from drained state.
         """
-        if drain:
-            # guards every live-stream batch path (mine, the replay
-            # harness, the parallel runner): a failed shard's substream
-            # would otherwise silently feed an empty placeholder
-            if self._failed:
-                raise ShardFailedError(min(self._failed))
-            self.flush_echoes()
+        self.flush_echoes()
         n = self.config.n_shards
         subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
         batched = self.config.lazy_reevaluation and self.config.echo_flush_interval > 0
@@ -508,6 +496,7 @@ class ShardedFarmer:
         op_filter = self.config.op_filter
         cross = self.config.cross_shard_edges
         route = self.router.route
+        prev = self._prev_owner
         accepted = 0
         last_fid = None
         for record in records:
@@ -524,38 +513,6 @@ class ShardedFarmer:
             for sub, tail in zip(subs, tails):
                 sub.extend(tail)
         return subs, accepted, prev, last_fid
-
-    def partition(
-        self, records: Iterable[TraceRecord]
-    ) -> list[list[tuple[TraceRecord, bool]]]:
-        """Split a trace into the per-shard ``(record, is_echo)``
-        substreams ``observe`` would feed each shard.
-
-        This is the replay surface for per-shard concurrency (the
-        service benchmark drives one substream per modeled worker).
-        Under strict isolation a shard replaying its substream is
-        bit-identical to the global ``observe`` schedule; with echoes
-        enabled the substreams interleave shared-vector updates in a
-        different order, so eagerly-refreshed edge degrees can differ
-        transiently until the next query re-ranks the list.
-
-        Side-effect-free: echoes already queued on the live service are
-        left queued (and are not part of the returned split) — only the
-        live-stream entry points (``mine``, the harness, the runner)
-        drain before partitioning.
-        """
-        return self._partition(records, None, drain=False)[0]
-
-    def _absorb_stream_state(
-        self, accepted: int, n_placed: int, prev: int | None, last_fid: int | None
-    ) -> None:
-        """Fold one partitioned batch into the stream accounting
-        (``n_placed`` is the total substream length including echoes)."""
-        self._n_observed += accepted
-        self._n_boundary_echoes += n_placed - accepted
-        self._prev_owner = prev
-        if last_fid is not None:
-            self._prev_fid = last_fid
 
     def mine(self, records: Sequence[TraceRecord]) -> "ShardedFarmer":
         """Batch-mine a trace shard by shard; returns self for chaining.
@@ -576,10 +533,12 @@ class ShardedFarmer:
         """
         if self._failed:
             raise ShardFailedError(min(self._failed))
-        subs, accepted, prev, last_fid = self._partition(records, self._prev_owner)
-        self._absorb_stream_state(
-            accepted, sum(len(s) for s in subs), prev, last_fid
-        )
+        subs, accepted, prev, last_fid = self._partition(records)
+        self._n_observed += accepted
+        self._n_boundary_echoes += sum(len(sub) for sub in subs) - accepted
+        self._prev_owner = prev
+        if last_fid is not None:
+            self._prev_fid = last_fid
         if not self.config.lazy_reevaluation:
             for shard, sub in zip(self.shards, subs):
                 if sub:
@@ -928,8 +887,7 @@ class ShardedFarmer:
         fid whose owner changed has its graph node and freshly-ranked
         Correlator List shipped from the old owner to the new one
         (`CoMiner.flush_nodes_report` ranks, ``extract_state`` /
-        ``adopt_migrated`` move — the same serialization seam the
-        process-backend runner uses), so no re-mining happens and
+        ``adopt_migrated`` move), so no re-mining happens and
         post-rebalance queries serve exactly the lists the old owners
         would have served. Shards beyond a shrunken count are dropped
         after their fids migrate out; new shards join sharing the same

@@ -146,6 +146,21 @@ class TestStatsAndMemory:
         assert snap.n_entries >= snap.n_lists  # lists are non-empty
         assert 0 < snap.mean_top_degree <= 1.0
 
+    def test_pickle_round_trip_keeps_predictions(self, hp_trace):
+        """A mined plain Farmer pickles, and the restored copy serves
+        the same predictions and keeps mining in step with the
+        original."""
+        import pickle
+
+        farmer = Farmer()
+        farmer.mine(hp_trace[:600])
+        clone = pickle.loads(pickle.dumps(farmer))
+        fids = sorted({r.fid for r in hp_trace[:600]})
+        assert [clone.predict(f) for f in fids] == [farmer.predict(f) for f in fids]
+        for miner in (farmer, clone):
+            miner.mine(hp_trace[600:900])
+        assert [clone.predict(f) for f in fids] == [farmer.predict(f) for f in fids]
+
 
 class TestSorter:
     def test_strongest_pairs(self, hp_trace):

@@ -147,3 +147,68 @@ class TestVectorVersions:
             versions.append(store.version_of(1))
         assert versions == sorted(versions)
         assert versions[-1] == 4  # uid 2->2 did not bump
+
+
+class TestUpdateBatch:
+    @pytest.mark.parametrize("policy", ["merge", "latest", "first"])
+    @pytest.mark.parametrize("freeze", [0, 4], ids=["nofreeze", "freeze4"])
+    def test_matches_update_loop(self, policy, freeze):
+        """Batch folding is observably identical to the per-record
+        loop: same vectors *and* the same per-file version trajectory
+        (the freeze threshold and sim memos key on versions)."""
+        pytest.importorskip("numpy")  # the HP trace profile draws from numpy
+        from tests.conftest import generate_trace
+
+        trace = generate_trace("hp", 3_000, seed=11)
+        cfg = FarmerConfig(sv_policy=policy, vector_freeze_threshold=freeze)
+        batched = VectorStore(cfg, Extractor(cfg.attributes))
+        looped = VectorStore(cfg, Extractor(cfg.attributes))
+        batched.update_batch(trace)
+        for record in trace:
+            looped.update(record)
+        va, ra = batched.maps()
+        vb, rb = looped.maps()
+        assert ra == rb
+        assert va.keys() == vb.keys()
+        for fid in va:
+            assert va[fid].scalar_ids == vb[fid].scalar_ids, fid
+            assert va[fid].path_ids == vb[fid].path_ids, fid
+
+    def test_alternating_paths_probe_case(self):
+        """A path *string* change with already-merged ids is the one
+        case the deferred build must materialise mid-batch (the
+        equality probe); alternate two paths to force it repeatedly."""
+        records = [
+            make_record(1, ts=i, path=("/a/x", "/b/x")[i % 2])
+            for i in range(12)
+        ] + [make_record(2, ts=100 + i, path="/c/y") for i in range(3)]
+        cfg = FarmerConfig(sv_policy="merge", merge_cap=6)
+        batched = VectorStore(cfg, Extractor(cfg.attributes))
+        looped = VectorStore(cfg, Extractor(cfg.attributes))
+        batched.update_batch(records)
+        for record in records:
+            looped.update(record)
+        va, ra = batched.maps()
+        vb, rb = looped.maps()
+        assert ra == rb
+        for fid in va:
+            assert va[fid].scalar_ids == vb[fid].scalar_ids
+            assert va[fid].path_ids == vb[fid].path_ids
+
+
+class TestPickle:
+    def test_round_trip_keeps_vectors_and_updates(self):
+        """The store pickles (durable snapshots rely on it): the
+        attribute getters are re-resolved on load, so the restored
+        store holds the same vectors and keeps folding updates exactly
+        like the original."""
+        import pickle
+
+        store = store_for("merge")
+        for uid in (1, 2, 3):
+            store.update(make_record(1, uid=uid, path="/a/b"))
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone.maps() == store.maps()
+        for s in (store, clone):
+            s.update(make_record(1, uid=4, path="/a/c"))
+        assert clone.maps() == store.maps()

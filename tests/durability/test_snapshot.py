@@ -118,6 +118,32 @@ class TestDamage:
         with pytest.raises(PersistenceError, match="missing or corrupt"):
             load_snapshot(report.path)
 
+    def test_snapshot_naming_a_removed_class_refuses(self, tmp_path, records):
+        """A CRC-valid snapshot whose shared-store blob names a class
+        this version no longer defines (the lock-wrapped vector store
+        older snapshots pickled) refuses with a typed error naming the
+        class, not a raw ``AttributeError`` from the unpickler."""
+        import json
+        import zlib
+
+        removed = "ThreadSafe" + "VectorStore"
+        service = build_service(CFG, records[:500])
+        report = write_snapshot(tmp_path, service, 500)
+        snap = tmp_path / "snap-000000000500"
+        # a protocol-0 GLOBAL opcode: "load class <module>.<name>"
+        blob = f"crepro.core.vector_store\n{removed}\n.".encode()
+        (snap / "shared.pkl").write_bytes(blob)
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["files"]["shared.pkl"] = {
+            "bytes": len(blob),
+            "crc32": zlib.crc32(blob),
+        }
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            PersistenceError, match=f"repro.core.vector_store.{removed}"
+        ):
+            load_snapshot(report.path)
+
 
 class TestConfigMismatch:
     @pytest.mark.parametrize(

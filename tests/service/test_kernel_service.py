@@ -1,28 +1,19 @@
-"""The array kernel under the full service stack, and the delta
-standby-sync path it shares its flat layout with.
+"""The re-rank kernels under the full service stack, and delta
+standby sync over the flat successor layout.
 
-Three properties ride here:
+Two properties ride here:
 
 * **service-level kernel equivalence** — a sharded service on the
-  array kernel, driven through rebalance *and* failover, serves exactly
-  what the bulk-kernel service serves (the kernel seam is below every
-  migration/replication seam, so the whole schedule must agree);
+  production bulk kernel, driven through rebalance *and* failover,
+  serves exactly what the entrywise-oracle service serves (the kernel
+  seam is below every migration/replication seam, so the whole schedule
+  must agree);
 * **delta sync engages** — steady-state standby barriers ship
   stats-only nodes as in-place array deltas (``n_delta_syncs``), and a
-  standby built that way still promotes to a bit-identical shard;
-* **slim process dispatch** — the process-backend runner ships the
-  shared (config, vector store) snapshot once per batch, so per-dispatch
-  payload bytes stay far below whole-shard pickling.
+  standby built that way still promotes to a bit-identical shard.
 """
 
-import pickle
-
-import pytest
-
-np = pytest.importorskip("numpy")
-
 from repro.core.config import FarmerConfig
-from repro.service.runner import ParallelShardRunner
 from repro.service.sharded import ShardedFarmer
 from repro.traces.synthetic import generate_trace
 
@@ -66,11 +57,11 @@ class TestServiceEquivalence:
             service.mine(trace[10_000:])
             return service
 
-        array_svc = run("array")
         bulk_svc = run("bulk")
-        fids = owned_fids(bulk_svc)
-        assert owned_fids(array_svc) == fids
-        assert query_map(array_svc, fids) == query_map(bulk_svc, fids)
+        oracle_svc = run("entrywise")
+        fids = owned_fids(oracle_svc)
+        assert owned_fids(bulk_svc) == fids
+        assert query_map(bulk_svc, fids) == query_map(oracle_svc, fids)
 
 
 class TestDeltaSync:
@@ -79,7 +70,7 @@ class TestDeltaSync:
         cfg = FarmerConfig(
             max_strength=0.3,
             n_shards=2,
-            rerank_kernel="array",
+            rerank_kernel="bulk",
             replication=True,
             standby_sync_interval=100_000,  # explicit barriers only
         )
@@ -111,36 +102,3 @@ class TestDeltaSync:
         # never-failed service bit for bit
         assert query_map(promoted, fids) == query_map(reference, fids)
 
-
-class TestProcessDispatch:
-    def test_payloads_slim_vs_whole_shard_pickles(self):
-        trace = generate_trace("hp", 4_000, seed=47)
-        service = ShardedFarmer(FarmerConfig(max_strength=0.3, n_shards=4))
-        with ParallelShardRunner(
-            service, backend="process", n_workers=2
-        ) as runner:
-            report = runner.mine(trace)
-        assert report.dispatch_bytes > 0
-        assert report.shared_bytes > 0
-        # the old protocol pickled each whole shard Farmer per dispatch
-        # (graph + vector store + vocabulary); the slim payloads must
-        # undercut that by a wide margin
-        whole = sum(len(pickle.dumps(shard)) for shard in service.shards)
-        assert report.dispatch_bytes < whole / 2
-
-    def test_array_kernel_process_backend_equivalence(self):
-        """Workers rank with the array kernel too (the scratch Farmer
-        inherits the config); results must match sequential mining."""
-        trace = generate_trace("hp", 4_000, seed=53)
-        cfg = FarmerConfig(
-            max_strength=0.3, n_shards=4, rerank_kernel="array"
-        )
-        sequential = ShardedFarmer(cfg).mine(trace)
-        parallel = ShardedFarmer(cfg)
-        with ParallelShardRunner(
-            parallel, backend="process", n_workers=2
-        ) as runner:
-            runner.mine(trace)
-        fids = owned_fids(sequential)
-        assert owned_fids(parallel) == fids
-        assert query_map(parallel, fids) == query_map(sequential, fids)

@@ -241,3 +241,27 @@ class TestSharedCache:
         # every shard's view of the shared counters is the same object
         for shard in service.shards:
             assert shard.miner.sim_cache is service.sim_cache
+
+
+class TestSharedStores:
+    def test_shared_stores_are_picklable(self):
+        """The shards share plain, unlocked stores (the service is
+        single-threaded), and a mined shard — shared stores included —
+        round-trips through pickle, which durable snapshots rely on."""
+        import pickle
+
+        from repro.core.simcache import SimilarityCache
+        from repro.core.vector_store import VectorStore
+        from repro.vsm.vocabulary import Vocabulary
+
+        service = ShardedFarmer(FarmerConfig(n_shards=2))
+        assert type(service.vocabulary) is Vocabulary
+        assert type(service.vector_store) is VectorStore
+        assert type(service.sim_cache) is SimilarityCache
+        service.mine(generate_trace("hp", 400, seed=3))
+        for shard in service.shards:
+            assert shard.constructor.vectors is service.vector_store
+            clone = pickle.loads(pickle.dumps(shard))
+            fids = set(shard.constructor.graph.nodes())
+            for fid in fids:
+                assert clone.correlators(fid) == shard.correlators(fid)

@@ -1,7 +1,7 @@
 """Satellite property: mining accuracy is kernel-invariant.
 
-The three re-rank kernels (bulk one-pass, entrywise reference,
-vectorized array) are bit-identical on the ranked lists by
+The production re-rank kernel (bulk one-pass) and the paper-literal
+oracle (entrywise) are bit-identical on the ranked lists by
 construction; this suite asserts the consequence that matters to the
 evaluation layer — identical precision/recall/headroom on every
 planted-truth scenario — so a kernel divergence surfaces as an
@@ -16,38 +16,20 @@ from repro.core.config import FarmerConfig
 from repro.workloads import SCENARIO_NAMES, mine_scenario, score_miner
 
 EVENTS = 2000
-
-
-def _kernels() -> list[str]:
-    kernels = ["bulk", "entrywise"]
-    try:
-        import numpy  # noqa: F401
-
-        kernels.append("array")
-    except ImportError:
-        pass
-    return kernels
+KERNELS = ("bulk", "entrywise")
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_precision_recall_identical_across_kernels(name, scenario_trace):
     records, truth = scenario_trace(name, EVENTS)
-    reports = []
-    for kernel in _kernels():
-        miner = mine_scenario(records, FarmerConfig(rerank_kernel=kernel))
-        reports.append(
-            score_miner(miner, truth, records, scenario=name)
+    bulk, oracle = (
+        score_miner(
+            mine_scenario(records, FarmerConfig(rerank_kernel=kernel)),
+            truth,
+            records,
+            scenario=name,
         )
-    first = reports[0]
-    for other in reports[1:]:
-        assert other == first  # exact equality: kernels are bit-identical
+        for kernel in KERNELS
+    )
+    assert bulk == oracle  # exact equality: kernels are bit-identical
 
-
-def test_array_kernel_present_when_numpy_is():
-    """The parity run above must really cover three kernels wherever
-    numpy exists — guard against silently testing two."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pytest.skip("no numpy: two-kernel leg")
-    assert _kernels() == ["bulk", "entrywise", "array"]
