@@ -188,11 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strict partition isolation (drop cross-shard boundary edges)",
     )
     svc_p.add_argument(
-        "--per-shard-cache",
-        action="store_true",
-        help="private similarity cache per shard instead of the shared one",
-    )
-    svc_p.add_argument(
         "--kernel",
         choices=("bulk", "entrywise"),
         default="bulk",
@@ -515,7 +510,6 @@ def _run_service(args: argparse.Namespace) -> int:
     base = farmer_config_for(
         args.trace,
         shard_policy=policy,
-        shared_sim_cache=not args.per_shard_cache,
         cross_shard_edges=not args.isolate,
         vector_freeze_threshold=args.freeze,
         echo_flush_interval=args.echo_interval,
@@ -559,7 +553,6 @@ def _run_service(args: argparse.Namespace) -> int:
     print(
         f"sharded mining service on '{args.trace}' x{args.events} "
         f"(router={policy}, cross_shard_edges={not args.isolate}, "
-        f"shared_sim_cache={not args.per_shard_cache}, "
         f"freeze={args.freeze}, echo_interval={args.echo_interval}, "
         f"mode={mode}; wall clock, one thread)"
     )
@@ -572,7 +565,7 @@ def _run_service(args: argparse.Namespace) -> int:
                 "wall s",
                 f"{mode}/s",
                 "vs 1 miner",
-                "cache hit",
+                "sim reused",
             ),
             rows,
         )

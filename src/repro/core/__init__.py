@@ -5,12 +5,11 @@ Four stages (Figure 2): Extracting → Constructing → Mining & Evaluating
 façade.
 """
 
-from repro.core.cominer import CoMiner, RerankStats
+from repro.core.cominer import CoMiner, RerankStats, SimStats
 from repro.core.config import DEFAULT_ATTRIBUTES, PATHLESS_ATTRIBUTES, FarmerConfig
 from repro.core.constructor import GraphConstructor
 from repro.core.extractor import Extractor
 from repro.core.farmer import Farmer, FarmerStats
-from repro.core.simcache import SimCacheStats, SimilarityCache
 from repro.core.sorter import CorrelationSnapshot, Sorter
 
 __all__ = [
@@ -23,8 +22,7 @@ __all__ = [
     "Extractor",
     "Farmer",
     "FarmerStats",
-    "SimCacheStats",
-    "SimilarityCache",
+    "SimStats",
     "CorrelationSnapshot",
     "Sorter",
 ]

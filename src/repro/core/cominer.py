@@ -15,14 +15,15 @@ Incremental hot path (the dirty/lazy contract)
 ----------------------------------------------
 
 The paper's "reasonable overhead" claim (§4, Table 4) needs per-request
-mining to be O(small). Two mechanisms make it so:
+mining to be O(small). Three mechanisms make it so:
 
-* **Versioned similarity cache** — ``sim(x, y)`` depends only on the two
-  semantic vectors, which change rarely. :meth:`semantic_distance`
-  consults a :class:`~repro.core.simcache.SimilarityCache` keyed by the
-  pair's vector versions, so Function 1 reruns only when an endpoint's
-  vector truly changed (a stale value is never served — version mismatch
-  is a miss by construction).
+* **Rank stamps** — ``sim(x, y)`` depends only on the two semantic
+  vectors, and a vector-version pair identifies the exact vectors.
+  Every ranked entry keeps a stamp of the inputs it was ranked from
+  (see the kernel section below), so Function 1 reruns only when an
+  endpoint's vector truly changed: a stamp whose version pair no longer
+  matches is simply not reused. The single-edge refresh
+  :meth:`reevaluate_edge` reads and writes the same stamps.
 
 * **Dirty lists, lazy re-rank** — a request for ``x`` changes the
   denominator of every ``F(x, ·)``, so the whole list of ``x`` is stale;
@@ -53,12 +54,13 @@ One-pass re-rank kernel (``FarmerConfig.rerank_kernel``)
   is compared against the inputs of the last rank — an exact match
   reuses the stored degree outright (both Function 1 and Function 2
   skipped), a version-pair match alone reuses the stored similarity
-  (Function 1 skipped, only the frequency blend recomputed);
-* remaining successors are answered against the versioned cache exactly
-  as the public batch kernel :meth:`semantic_distances` does — src
-  vector resolved once, one lookup/compute/store per dst — with the
-  loop inlined into the re-rank (property-tested against the public
-  method);
+  (Function 1 skipped, only the frequency blend recomputed). A
+  *sim-only* stamp written by :meth:`reevaluate_edge` serves the
+  second case;
+* remaining successors compute Function 1 directly, exactly as the
+  public batch kernel :meth:`semantic_distances` does (src vector
+  resolved once), with the loop inlined into the re-rank
+  (property-tested against the public method);
 * the list is materialised by a single
   :meth:`~repro.graph.correlator_list.CorrelatorList.rebuild` (sort +
   threshold/capacity cut, O(d log d)) instead of d binary insertions.
@@ -66,8 +68,8 @@ One-pass re-rank kernel (``FarmerConfig.rerank_kernel``)
 ``rerank_kernel="entrywise"`` keeps the per-entry reference path
 (bit-for-bit identical output, property-tested);
 ``incremental_rerank=False`` disables the stamps. The op counters in
-:class:`RerankStats` let benchmarks assert the work reduction instead
-of poking internals.
+:class:`RerankStats` and the Function-1 counters in :class:`SimStats`
+let benchmarks assert the work reduction instead of poking internals.
 
 Ranking contract (both kernels): a re-ranked list is a pure function of
 the file's *current* successor set — the top-capacity degrees above the
@@ -81,11 +83,10 @@ from dataclasses import dataclass
 
 from repro.core.config import FarmerConfig
 from repro.core.constructor import GraphConstructor
-from repro.core.simcache import SimCacheStats, SimilarityCache
 from repro.graph.correlator_list import CorrelatorList
 from repro.vsm.similarity import dpa_similarity, ipa_similarity
 
-__all__ = ["CoMiner", "RerankStats"]
+__all__ = ["CoMiner", "RerankStats", "SimStats"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,30 +109,45 @@ class RerankStats:
     insort_ops: int
 
 
+@dataclass(frozen=True, slots=True)
+class SimStats:
+    """Function-1 counters of one miner (since construction).
+
+    Attributes:
+        hits: successor similarities reused from the last rank (a rank
+            stamp, or a whole-list skip) instead of computed.
+        misses: Function-1 computations.
+    """
+
+    hits: int
+    misses: int
+
+    @property
+    def lookups(self) -> int:
+        """Similarities served (hits + misses)."""
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of similarities reused (0.0 when idle)."""
+        total = self.lookups
+        return self.hits / total if total else 0.0
+
+
 class CoMiner:
     """Evaluates correlation degrees and maintains Correlator Lists."""
 
-    def __init__(
-        self,
-        config: FarmerConfig,
-        constructor: GraphConstructor,
-        sim_cache: SimilarityCache | None = None,
-    ) -> None:
+    def __init__(self, config: FarmerConfig, constructor: GraphConstructor) -> None:
         self.config = config
         self.constructor = constructor
-        # ``sim_cache`` may be injected (one cache handed to every shard)
-        # so the shards of a sharded service reuse each other's
-        # Function-1 work
-        self.sim_cache = (
-            sim_cache if sim_cache is not None else SimilarityCache(config.sim_cache_capacity)
-        )
-        self.owns_sim_cache = sim_cache is None
         self._lists: dict[int, CorrelatorList] = {}
         self._dirty: set[int] = set()
         self._ranked_tick: dict[int, int] = {}
         # src -> dst -> (ver_src, ver_dst, n_xy, n_x, sim, degree): the
         # inputs and outputs of the last rank, pruned to the current
-        # successor set on every bulk re-rank
+        # successor set on every bulk re-rank. reevaluate_edge writes
+        # sim-only stamps (n_xy, n_x and degree None) that the next
+        # bulk re-rank reads for their similarity.
         self._stamps: dict[int, dict[int, tuple]] = {}
         self._bulk = config.rerank_kernel == "bulk"
         self._incremental = self._bulk and config.incremental_rerank
@@ -141,70 +157,47 @@ class CoMiner:
         self._n_reevaluations = 0
         self._entries_scanned = 0
         self._entries_skipped = 0
+        self._sim_hits = 0
+        self._sim_misses = 0
 
     # ------------------------------------------------------------------
     # degree evaluation
     # ------------------------------------------------------------------
 
-    def semantic_distance(self, src: int, dst: int) -> float:
-        """``sim(src, dst)`` from the stored semantic vectors (0 if unknown).
+    def _similarity(self, va, vb) -> float:
+        """Function 1 on two semantic vectors (one computation)."""
+        self._sim_misses += 1
+        if self.config.path_method == "ipa":
+            return ipa_similarity(va, vb, self.config.path_mode)
+        return dpa_similarity(va, vb)
 
-        Served from the versioned cache when both endpoints' vectors are
-        unchanged since the pair was last evaluated.
-        """
-        vectors, versions = self.constructor.vectors.maps()
+    def semantic_distance(self, src: int, dst: int) -> float:
+        """``sim(src, dst)`` from the stored semantic vectors (0 if unknown)."""
+        vectors = self.constructor.vectors.maps()[0]
         va = vectors.get(src)
         if va is None:
             return 0.0
         vb = vectors.get(dst)
         if vb is None:
             return 0.0
-        ver_a = versions[src]
-        ver_b = versions[dst]
-        cached = self.sim_cache.lookup(src, dst, ver_a, ver_b)
-        if cached is not None:
-            return cached
-        config = self.config
-        value = (
-            ipa_similarity(va, vb, config.path_mode)
-            if config.path_method == "ipa"
-            else dpa_similarity(va, vb)
-        )
-        self.sim_cache.store(src, dst, ver_a, ver_b, value)
-        return value
+        return self._similarity(va, vb)
 
     def semantic_distances(self, src: int, dsts) -> list[float]:
         """Batch Function 1: ``sim(src, dst)`` for every dst, in order.
 
-        ``src``'s vector and version are resolved once and the whole
-        set is answered against the versioned cache in one pass (each
-        miss computed and stored). :meth:`_reevaluate_bulk` inlines this
-        same consult loop on the hot path; the equivalence tests pin the
-        two against each other.
+        ``src``'s vector is resolved once and the whole set is computed
+        in one pass. :meth:`_reevaluate_bulk` inlines this same loop on
+        the hot path; the equivalence tests pin the two against each
+        other.
         """
-        vectors, versions = self.constructor.vectors.maps()
+        vectors = self.constructor.vectors.maps()[0]
         va = vectors.get(src)
         if va is None:
             return [0.0 for _ in dsts]
-        ver_a = versions[src]
-        cache = self.sim_cache
-        lookup, put = cache.lookup, cache.store
-        ipa = self.config.path_method == "ipa"
-        mode = self.config.path_mode
         out: list[float] = []
         for dst in dsts:
             vb = vectors.get(dst)
-            if vb is None:
-                out.append(0.0)
-                continue
-            ver_b = versions[dst]
-            value = lookup(src, dst, ver_a, ver_b)
-            if value is None:
-                value = (
-                    ipa_similarity(va, vb, mode) if ipa else dpa_similarity(va, vb)
-                )
-                put(src, dst, ver_a, ver_b, value)
-            out.append(value)
+            out.append(0.0 if vb is None else self._similarity(va, vb))
         return out
 
     def correlation_degree(self, src: int, dst: int) -> float:
@@ -214,9 +207,10 @@ class CoMiner:
         freq = self.constructor.graph.frequency(src, dst) if p < 1.0 else 0.0
         return sim * p + freq * (1.0 - p)
 
-    def sim_cache_stats(self) -> SimCacheStats:
-        """Similarity-cache counters (misses = Function-1 computations)."""
-        return self.sim_cache.stats()
+    def sim_cache_stats(self) -> SimStats:
+        """Function-1 counters: similarities reused from the last rank
+        (hits) and computed (misses)."""
+        return SimStats(hits=self._sim_hits, misses=self._sim_misses)
 
     # ------------------------------------------------------------------
     # list maintenance
@@ -244,14 +238,15 @@ class CoMiner:
 
     def _reevaluate_bulk(self, src: int) -> CorrelatorList:
         """One-pass kernel: stamps skip unchanged successors, the
-        remaining similarities are answered exactly as
-        :meth:`semantic_distances` would (src vector/version resolved
-        once, cache consulted per dst — inlined to keep the loop flat),
-        and the list is materialised by a single sort/cut rebuild.
+        remaining similarities are computed exactly as
+        :meth:`semantic_distances` would (src vector resolved once —
+        inlined to keep the loop flat), and the list is materialised by
+        a single sort/cut rebuild.
 
-        Stamps are recorded from a file's first *re*-rank on: a one-shot
-        batch ranks every file exactly once, and allocating stamps it
-        will never read is measurable at that scale.
+        Stamps are recorded from a file's first *re*-rank on (or once
+        :meth:`reevaluate_edge` has stamped one of its entries): a
+        one-shot batch ranks every file exactly once, and allocating
+        stamps it will never read is measurable at that scale.
         """
         constructor = self.constructor
         store = constructor.vectors
@@ -281,6 +276,7 @@ class CoMiner:
                 self._n_reevaluations += 1
                 self._entries_scanned += d
                 self._entries_skipped += d
+                self._sim_hits += d
                 self._dirty.discard(src)
                 return self._lists[src]
         lst = self._list_for(src)
@@ -294,8 +290,6 @@ class CoMiner:
         vectors, versions = store.maps()
         va = vectors.get(src)
         ver_a = versions[src] if va is not None else 0
-        cache = self.sim_cache
-        lookup, put = cache.lookup, cache.store
         ipa = config.path_method == "ipa"
         mode = config.path_mode
         stamps = self._stamps.get(src) if self._incremental else None
@@ -304,7 +298,7 @@ class CoMiner:
         )
         new_stamps: dict[int, tuple] = {}
         candidates: list[tuple[int, float]] = []
-        skipped = 0
+        skipped = reused = computed = 0
         for dst, n_xy in zip(succ_fids, succ_weights):
             ver_b = versions.get(dst, 0)
             sim = None
@@ -319,6 +313,7 @@ class CoMiner:
                         new_stamps[dst] = st
                         continue
                     sim = st[4]  # vectors unchanged: Function 1 skipped
+                    reused += 1
             if sim is None:
                 if not use_sim or va is None:
                     sim = 0.0
@@ -327,14 +322,12 @@ class CoMiner:
                     if vb is None:
                         sim = 0.0
                     else:
-                        sim = lookup(src, dst, ver_a, ver_b)
-                        if sim is None:
-                            sim = (
-                                ipa_similarity(va, vb, mode)
-                                if ipa
-                                else dpa_similarity(va, vb)
-                            )
-                            put(src, dst, ver_a, ver_b, sim)
+                        computed += 1
+                        sim = (
+                            ipa_similarity(va, vb, mode)
+                            if ipa
+                            else dpa_similarity(va, vb)
+                        )
             if use_freq and n_x:
                 freq = n_xy / n_x
                 if freq > 1.0:
@@ -351,6 +344,8 @@ class CoMiner:
         elif stamps is not None and not new_stamps:
             self._stamps.pop(src, None)
         self._entries_skipped += skipped
+        self._sim_hits += skipped + reused
+        self._sim_misses += computed
         self._dirty.discard(src)
         self._ranked_tick[src] = tick
         if self._incremental:
@@ -375,8 +370,42 @@ class CoMiner:
         return lst
 
     def reevaluate_edge(self, src: int, dst: int) -> None:
-        """Refresh a single (src → dst) entry after an edge reinforcement."""
-        self._list_for(src).update(dst, self.correlation_degree(src, dst))
+        """Refresh a single (src → dst) entry after an edge reinforcement.
+
+        On the incremental bulk path the similarity comes from ``src``'s
+        stamp for ``dst`` when its version pair still matches; otherwise
+        it is computed and written back as a sim-only stamp, which the
+        next bulk re-rank of ``src`` reads instead of recomputing.
+        """
+        p = self.config.weight_p
+        if self._incremental and p > 0.0:
+            sim = self._stamped_similarity(src, dst)
+        else:
+            sim = self.semantic_distance(src, dst) if p > 0.0 else 0.0
+        freq = self.constructor.graph.frequency(src, dst) if p < 1.0 else 0.0
+        self._list_for(src).update(dst, sim * p + freq * (1.0 - p))
+
+    def _stamped_similarity(self, src: int, dst: int) -> float:
+        """``sim(src, dst)`` through ``src``'s rank stamps: reused when
+        the stamp's version pair matches, else computed and stamped."""
+        vectors, versions = self.constructor.vectors.maps()
+        va = vectors.get(src)
+        vb = vectors.get(dst)
+        if va is None or vb is None:
+            return 0.0
+        ver_a = versions[src]
+        ver_b = versions[dst]
+        stamps = self._stamps.get(src)
+        if stamps is None:
+            stamps = self._stamps[src] = {}
+        else:
+            st = stamps.get(dst)
+            if st is not None and st[0] == ver_a and st[1] == ver_b:
+                self._sim_hits += 1
+                return st[4]
+        sim = self._similarity(va, vb)
+        stamps[dst] = (ver_a, ver_b, None, None, sim, None)
+        return sim
 
     # ------------------------------------------------------------------
     # dirty/lazy protocol
@@ -537,14 +566,11 @@ class CoMiner:
         return self._lists
 
     def approx_bytes(self) -> int:
-        """Footprint of all Correlator Lists plus the similarity cache
-        (only when owned — a shared cache is accounted once by its
-        owner), the dirty/ranked-tick bookkeeping and the re-rank
-        stamps."""
+        """Footprint of all Correlator Lists, the dirty/ranked-tick
+        bookkeeping and the re-rank stamps."""
         return (
             64
             + sum(104 + lst.approx_bytes() for lst in self._lists.values())
-            + (self.sim_cache.approx_bytes() if self.owns_sim_cache else 0)
             + 56 * len(self._ranked_tick)
             + 56 * len(self._ranked_epoch)
             + 32 * len(self._dirty)

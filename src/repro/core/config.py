@@ -45,9 +45,6 @@ class FarmerConfig:
         correlator_capacity: max entries per Correlator List.
         prefetch_k: how many correlates the FPA prefetcher requests.
         op_filter: if set, only these operations are mined.
-        sim_cache_capacity: max (pair → similarity) entries kept in the
-            versioned similarity cache; 0 disables caching (every
-            Function-1 evaluation is recomputed, the eager baseline).
         lazy_reevaluation: if True (default), ``observe()`` only marks
             the requested file's Correlator List dirty and refreshes the
             reinforced edges; the full Algorithm-1 re-rank runs on the
@@ -77,10 +74,10 @@ class FarmerConfig:
             frozen (updates ignored, version stops bumping) once it has
             changed this many times — the vector-stability heuristic. A
             merged vector that survived N rewrites has saturated on the
-            file's sharing set, and freezing it turns almost every
-            Function-1 evaluation into a similarity-cache hit. 0 (the
-            default) disables freezing: every request can still reshape
-            the vector, the paper's literal reading.
+            file's sharing set, and freezing it lets the rank stamps
+            reuse most similarities instead of recomputing Function 1.
+            0 (the default) disables freezing: every request can still
+            reshape the vector, the paper's literal reading.
         n_shards: how many independent miner shards a
             :class:`~repro.service.ShardedFarmer` partitions the fid
             namespace across (1 = plain single-miner FARMER).
@@ -143,11 +140,6 @@ class FarmerConfig:
             freshly-ranked Correlator Lists are copied to its standby;
             a smaller interval narrows the failover loss window at the
             cost of more sync work.
-        shared_sim_cache: if True (default), all shards of a
-            ``ShardedFarmer`` share one versioned similarity cache
-            (safe because shards also share the vector store, so
-            version keys are namespace-global); if False each shard
-            keeps a private cache (strict shard independence).
         cross_shard_edges: if True (default), a request whose immediate
             predecessor in the service-level stream lives on a different
             shard (a *boundary request*) is observed by both owner
@@ -170,7 +162,6 @@ class FarmerConfig:
     correlator_capacity: int = 16
     prefetch_k: int = 4
     op_filter: tuple[str, ...] | None = None
-    sim_cache_capacity: int = 65536
     lazy_reevaluation: bool = True
     rerank_kernel: str = "bulk"
     incremental_rerank: bool = True
@@ -183,7 +174,6 @@ class FarmerConfig:
     echo_idle_drain: int = 0
     replication: bool = False
     standby_sync_interval: int = 1024
-    shared_sim_cache: bool = True
     cross_shard_edges: bool = True
 
     def __post_init__(self) -> None:
@@ -218,8 +208,6 @@ class FarmerConfig:
             raise ConfigError("correlator_capacity must be >= 1")
         if self.prefetch_k < 0:
             raise ConfigError("prefetch_k must be >= 0")
-        if self.sim_cache_capacity < 0:
-            raise ConfigError("sim_cache_capacity must be >= 0")
         if self.rerank_kernel not in ("bulk", "entrywise"):
             raise ConfigError(f"unknown rerank kernel {self.rerank_kernel!r}")
         if self.vector_freeze_threshold < 0:

@@ -22,9 +22,9 @@ it updates the graph and vectors, eagerly refreshes the entries for the
 just-reinforced predecessor edges, and *marks the requested file's
 Correlator List dirty* instead of re-running Algorithm 1. The full
 re-rank + stale-edge sweep happens on the first query of a dirty list
-(``correlators`` / ``predict`` / ``snapshot`` / ``sorter``), backed by a
-versioned similarity cache so Function 1 only reruns for pairs whose
-vectors actually changed. Query results therefore always reflect a full
+(``correlators`` / ``predict`` / ``snapshot`` / ``sorter``), backed by
+per-entry rank stamps so Function 1 only reruns for pairs whose vectors
+actually changed. Query results therefore always reflect a full
 Algorithm-1 pass; when queries follow the triggering request (the FPA
 pattern) they are bit-identical to the eager schedule, and between a
 request and the next query of some *other* file the lazy path serves
@@ -46,11 +46,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.core.cominer import CoMiner, RerankStats
+from repro.core.cominer import CoMiner, RerankStats, SimStats
 from repro.core.config import FarmerConfig
 from repro.core.constructor import GraphConstructor
 from repro.core.extractor import Extractor
-from repro.core.simcache import SimCacheStats, SimilarityCache
 from repro.core.sorter import CorrelationSnapshot, Sorter
 from repro.core.vector_store import VectorStore
 from repro.graph.correlator_list import CorrelatorEntry
@@ -71,7 +70,7 @@ class FarmerStats:
     n_entries: int
     vocabulary_size: int
     memory_bytes: int
-    sim_cache: SimCacheStats
+    sim_cache: SimStats
     rerank: RerankStats
 
     @property
@@ -85,9 +84,8 @@ class Farmer:
 
     The keyword-only parameters inject components that a
     :class:`~repro.service.ShardedFarmer` shares across its shards (one
-    vocabulary, one namespace-global vector store, one versioned
-    similarity cache); a stand-alone Farmer owns private instances and
-    behaves exactly as before.
+    vocabulary, one namespace-global vector store); a stand-alone Farmer
+    owns private instances and behaves exactly as before.
     """
 
     def __init__(
@@ -96,7 +94,6 @@ class Farmer:
         *,
         vocabulary: Vocabulary | None = None,
         vector_store: VectorStore | None = None,
-        sim_cache: SimilarityCache | None = None,
     ) -> None:
         self.config = config if config is not None else FarmerConfig()
         self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
@@ -105,7 +102,7 @@ class Farmer:
         self.constructor = GraphConstructor(
             self.config, self.extractor, vectors=vector_store
         )
-        self.miner = CoMiner(self.config, self.constructor, sim_cache=sim_cache)
+        self.miner = CoMiner(self.config, self.constructor)
         self.sorter = Sorter(self.miner)
         self._n_observed = 0
 
@@ -293,13 +290,10 @@ class Farmer:
             + self.miner.approx_bytes()
         )
 
-    def sim_cache_stats(self) -> SimCacheStats:
-        """Similarity-cache counters (hit rate, Function-1 recomputes).
-
-        The supported surface for benchmarks and experiments — no need
-        to reach into ``miner.sim_cache`` internals. Note that under a
-        shared cache these counters aggregate every sharing shard.
-        """
+    def sim_cache_stats(self) -> SimStats:
+        """Function-1 counters: similarities reused from a rank stamp
+        (hits) and computed (misses) — the supported surface for
+        benchmarks and experiments."""
         return self.miner.sim_cache_stats()
 
     def rerank_stats(self) -> RerankStats:

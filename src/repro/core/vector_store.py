@@ -16,23 +16,23 @@ A file's semantic vector must summarise *who touches it*. Three policies:
 
 Every file's vector carries a monotonically increasing *version*, bumped
 only when an update actually changes the vector. Versions are what the
-similarity cache keys its entries on: as long as both endpoints' versions
-are unchanged, a cached ``sim(x, y)`` is exact and need not be recomputed.
+miner's rank stamps record: as long as both endpoints' versions are
+unchanged, a stamped ``sim(x, y)`` is exact and need not be recomputed.
 
 Vector-stability heuristic (``FarmerConfig.vector_freeze_threshold``)
 ---------------------------------------------------------------------
 
 Under the "merge" policy a hot shared file's vector is rewritten dozens
 of times early in a trace while its sharing set is still being
-discovered, and every rewrite invalidates all of the file's cached
+discovered, and every rewrite invalidates all of the file's stamped
 similarities. Once a vector has survived ``vector_freeze_threshold``
 rewrites it has effectively saturated — the distinct users/processes/
 hosts that touch the file have been seen — so further updates are
-dropped and the version stops bumping, which turns the similarity cache
-from ~6% to >80% hit rate on the synthetic HP trace. The threshold is
-off (0) by default: freezing trades a little adaptivity (a file whose
-sharing set genuinely changes late keeps its saturated vector) for a
-large reduction in Function-1 recomputation.
+dropped and the version stops bumping, and the stamps reuse most
+similarities instead of recomputing them. The threshold is off (0) by
+default: freezing trades a little adaptivity (a file whose sharing set
+genuinely changes late keeps its saturated vector) for a large
+reduction in Function-1 recomputation.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ class VectorStore:
 
         Semantically identical to calling :meth:`update` per record —
         same final vectors, same per-file *version trajectory* (the
-        freeze threshold and the similarity cache key on versions, so
+        freeze threshold and the rank stamps key on versions, so
         the trajectory is part of the contract) — but under the "merge"
         policy the actual :class:`~repro.vsm.vector.SemanticVector`
         construction is deferred: a version bump is provable from the

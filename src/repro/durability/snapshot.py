@@ -15,7 +15,7 @@ Shared stores are externalized
 ------------------------------
 
 One service holds namespace-global stores (vocabulary, vector store,
-similarity cache) shared by every shard *by identity*. Pickling each
+extractor) shared by every shard *by identity*. Pickling each
 shard naively would duplicate them per shard and sever the sharing on
 restore. Instead the stores are written once to ``shared.pkl`` and
 every other blob references them through pickle persistent IDs
@@ -70,11 +70,10 @@ _TMP_SUFFIX = ".tmp"
 # persistent-ID tokens for the objects shared across blobs by identity
 _VOCAB = "vocabulary"
 _VECTORS = "vector_store"
-_SIM_CACHE = "sim_cache"
 _EXTRACTOR = "extractor"
 _SERVICE = "service"
 # fields of the service whose values are serialized in their own blobs
-_EXTERNAL_FIELDS = (_VOCAB, _VECTORS, _SIM_CACHE, _EXTRACTOR)
+_EXTERNAL_FIELDS = (_VOCAB, _VECTORS, _EXTRACTOR)
 
 
 def _snap_name(seq: int) -> str:
@@ -210,16 +209,11 @@ def write_snapshot(
     shared = {
         _VOCAB: service.vocabulary,
         _VECTORS: service.vector_store,
-        _SIM_CACHE: service.sim_cache,
         _EXTRACTOR: service.extractor,
     }
     files["shared.pkl"] = _dump(tmp / "shared.pkl", shared, external={})
 
-    external = {
-        id(obj): token
-        for token, obj in shared.items()
-        if obj is not None
-    }
+    external = {id(obj): token for token, obj in shared.items()}
     for index, shard in enumerate(service.shards):
         files[f"shard-{index}.pkl"] = _dump(
             tmp / f"shard-{index}.pkl", shard, external

@@ -33,6 +33,12 @@ recovery rollup under ``durability``.
 Error mapping: bad arguments → 400; unknown path → 404; an operation
 the service refuses (failed shard, replication disabled, bad config)
 → 409 with the error text. The handler never serves tracebacks.
+
+``/ingest`` is all-or-nothing: every line is decoded before any record
+is offered, so a 400 for a malformed line means nothing from that body
+was admitted and the client may retry it whole. A body whose
+``Content-Length`` is not a non-negative integer is refused with 400,
+and one above :data:`MAX_BODY_BYTES` with 413, both without reading it.
 """
 
 from __future__ import annotations
@@ -52,7 +58,12 @@ from repro.errors import (
 from repro.online.pipeline import OnlineService
 from repro.traces.io import record_from_dict
 
-__all__ = ["AdminApiServer"]
+__all__ = ["AdminApiServer", "MAX_BODY_BYTES"]
+
+#: largest request body the API reads (bytes). A 500-line JSONL ingest
+#: body is ~14 KB, so this leaves three orders of magnitude of headroom
+#: while bounding what one request can make the server buffer.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 def _jsonable(value):
@@ -154,7 +165,24 @@ class AdminApiServer:
                 self.wfile.write(body)
 
             def _body(self) -> bytes:
-                length = int(self.headers.get("Content-Length") or 0)
+                raw = self.headers.get("Content-Length")
+                if not raw:
+                    return b""
+                try:
+                    length = int(raw)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # the unread body would desync the connection
+                    self.close_connection = True
+                    raise _ApiError(400, f"invalid Content-Length {raw!r}")
+                if length > MAX_BODY_BYTES:
+                    self.close_connection = True
+                    raise _ApiError(
+                        413,
+                        f"body of {length} bytes exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit",
+                    )
                 return self.rfile.read(length) if length else b""
 
             def _json_body(self) -> dict:
@@ -247,20 +275,26 @@ class AdminApiServer:
                 online = server.online
                 if url.path == "/ingest":
                     def ingest():
-                        results: dict[str, int] = {}
-                        for lineno, line in enumerate(
-                            self._body().decode("utf-8").splitlines(), 1
-                        ):
+                        try:
+                            text = self._body().decode("utf-8")
+                        except UnicodeDecodeError as exc:
+                            raise _ApiError(400, f"body is not UTF-8: {exc}")
+                        # decode every line before offering any, so a
+                        # malformed line refuses the whole body
+                        records = []
+                        for lineno, line in enumerate(text.splitlines(), 1):
                             if not line.strip():
                                 continue
                             try:
-                                record = record_from_dict(
-                                    json.loads(line), lineno
+                                records.append(
+                                    record_from_dict(json.loads(line), lineno)
                                 )
                             except Exception as exc:
                                 raise _ApiError(
                                     400, f"bad record on line {lineno}: {exc}"
                                 )
+                        results: dict[str, int] = {}
+                        for record in records:
                             outcome = online.offer(record).value
                             results[outcome] = results.get(outcome, 0) + 1
                         return {"admission": results}

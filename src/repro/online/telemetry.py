@@ -14,8 +14,9 @@ hot path:
 * :class:`LatencyHistogram` — fixed geometric buckets (factor 2 from
   1 microsecond up). Recording is one ``bit_length`` and one integer
   increment; percentiles (p50/p95/p99) are a cumulative walk over ~40
-  ints. No sample retention, no sorting, no numpy — the histogram's
-  resolution (a factor-2 bound per bucket) is the honest price.
+  ints, clamped to the exact observed maximum. No sample retention, no
+  sorting, no numpy — the histogram's resolution (a factor-2 bound per
+  bucket) is the honest price.
 
 :class:`Telemetry` aggregates both behind one lock: named counters,
 named series, per-endpoint histograms, and a JSON-safe :meth:`snapshot`
@@ -53,8 +54,10 @@ class LatencySummary:
     """One endpoint's latency distribution, percentiles from buckets.
 
     Percentile values are the *upper bound* of the bucket the percentile
-    falls in (a ≤2x overestimate by construction — the conservative side
-    for an operator reading a dashboard). ``n == 0`` reports zeros.
+    falls in, clamped to ``max_s`` (a ≤2x overestimate by construction —
+    the conservative side for an operator reading a dashboard — that
+    never exceeds the slowest observation, so p50 ≤ p95 ≤ p99 ≤ max).
+    ``n == 0`` reports zeros.
     """
 
     n: int
@@ -110,7 +113,8 @@ class LatencyHistogram:
 
     def percentile(self, q: float) -> float:
         """Upper bound (seconds) of the bucket percentile ``q`` ∈ (0, 1]
-        falls in; 0.0 with no observations."""
+        falls in, clamped to the observed maximum; 0.0 with no
+        observations."""
         if self._n == 0:
             return 0.0
         target = q * self._n
@@ -118,8 +122,8 @@ class LatencyHistogram:
         for index, count in enumerate(self._counts):
             seen += count
             if seen >= target:
-                return _BASE_S * (1 << index)
-        return _BASE_S * (1 << (_N_BUCKETS - 1))  # pragma: no cover
+                return min(_BASE_S * (1 << index), self._max_s)
+        return self._max_s  # pragma: no cover
 
     def summary(self) -> LatencySummary:
         """The dashboard view: n, p50/p95/p99 and the exact max."""

@@ -1,8 +1,8 @@
 """The sharded mining service: namespace-partitioned FARMER at scale.
 
 :class:`ShardedFarmer` splits the fid namespace across N independent
-miner shards behind a deterministic router, sharing the vocabulary, the
-vector store and (optionally) one versioned similarity cache. This is
+miner shards behind a deterministic router, sharing the vocabulary and
+the vector store. This is
 the architectural seam for scaling the miner alongside the metadata
 servers: shard *i* co-locates with MDS *i* in the cluster simulator.
 The service is single-threaded; a caller that touches it from several
@@ -36,7 +36,6 @@ from repro.service.sharded import (
 )
 from repro.service.stats import (
     ServiceStats,
-    combine_cache_stats,
     combine_rerank_stats,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "ShardedFarmer",
     "StreamIngestReport",
     "ServiceStats",
-    "combine_cache_stats",
     "combine_rerank_stats",
 ]

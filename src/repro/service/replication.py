@@ -8,7 +8,7 @@ failover a first-class, property-tested operation:
 
 * :class:`ShardReplica` — one standby: a full :class:`~repro.core.
   farmer.Farmer` sharing the service's namespace-global stores
-  (vocabulary, vector store, similarity cache — those are not shard
+  (vocabulary and vector store — those are not shard
   state and survive a shard failure by construction), holding a copy of
   the primary's *private* mining state (graph nodes, Correlator Lists,
   sliding window) as of the last sync barrier.
@@ -226,9 +226,9 @@ class ShardReplicator:
     Owned by a :class:`~repro.service.ShardedFarmer` with
     ``config.replication=True``; the service triggers barriers on its
     accepted-request cadence and calls :meth:`take` / :meth:`reseed`
-    during a promotion. Standbys share the service's vocabulary, vector
-    store and similarity cache — those are namespace-global, not shard
-    state, so a shard failure never loses them.
+    during a promotion. Standbys share the service's vocabulary and
+    vector store — those are namespace-global, not shard state, so a
+    shard failure never loses them.
     """
 
     def __init__(self, service) -> None:
@@ -246,7 +246,6 @@ class ShardReplicator:
                 service.config,
                 vocabulary=service.vocabulary,
                 vector_store=service.vector_store,
-                sim_cache=service.sim_cache,
             )
         )
 

@@ -14,21 +14,14 @@ caller's thread, and a multi-threaded caller serialises its touches
 Shared state — and why sharing is safe
 --------------------------------------
 
-Three components are deliberately *not* sharded:
+Two components are deliberately *not* sharded:
 
 * the **vocabulary** (interned attribute tokens) — ids must agree across
   shards for vectors to be comparable;
 * the **vector store** — a file's semantic vector is a property of the
   namespace, not of a partition, so one store holds the truth and its
-  monotonic versions are global;
-* the **similarity cache** (``shared_sim_cache=True``, the default) —
-  one :class:`~repro.core.simcache.SimilarityCache` handed to every
-  shard, whose entries are keyed on vector versions. Because versions
-  come from the single shared store, an entry written by one shard is
-  exact for every other shard; a shard whose endpoint moved on simply
-  misses. Stale values are unservable by construction, which is what
-  makes cross-shard reuse of Function-1 work safe without invalidation
-  traffic.
+  monotonic versions are global. Each shard's rank stamps record those
+  versions, so a stamp stays exact whichever shard wrote it.
 
 Cross-shard edges (``cross_shard_edges``) and batched echoes
 ------------------------------------------------------------
@@ -85,8 +78,8 @@ new consistent-hash weights) and migrates **only the fids whose owner
 changed** — each moved fid's graph node and freshly-ranked Correlator
 List ship from the old owner to the new one
 (:meth:`~repro.core.cominer.CoMiner.flush_nodes_report` /
-``adopt_migrated``); nothing is re-mined. The shared vocabulary, vector
-store and similarity cache are namespace-global and never move.
+``adopt_migrated``); nothing is re-mined. The shared vocabulary and
+vector store are namespace-global and never move.
 Pre-rebalance query results are preserved verbatim (the migrated list
 is the list the old owner would have served), and with ``window=1`` —
 the regime where boundary echoes capture the cross-shard edge set
@@ -102,8 +95,8 @@ through the same state-shipping seam a rebalance migration uses, every
 ``standby_sync_interval`` accepted requests (and on demand via
 :meth:`sync_standbys`). :meth:`ShardedFarmer.fail_shard` simulates the
 loss of a shard's private mining state — its graph, lists and in-flight
-echoes are gone; the shared vocabulary/vector store/similarity cache
-are namespace-global and survive by construction. While failed,
+echoes are gone; the shared vocabulary/vector store are
+namespace-global and survive by construction. While failed,
 requests and queries routed to that shard raise
 :class:`~repro.errors.ShardFailedError`; every other partition keeps
 serving. :meth:`ShardedFarmer.promote_standby` puts the standby in
@@ -138,10 +131,10 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from repro.core.cominer import SimStats
 from repro.core.config import FarmerConfig
 from repro.core.extractor import Extractor
 from repro.core.farmer import Farmer
-from repro.core.simcache import SimCacheStats, SimilarityCache
 from repro.core.sorter import CorrelationSnapshot
 from repro.core.vector_store import VectorStore
 from repro.errors import ConfigError, ReplicationError, ShardFailedError
@@ -152,7 +145,7 @@ from repro.service.replication import (
     StandbySyncReport,
 )
 from repro.service.router import ShardRouter, make_router
-from repro.service.stats import ServiceStats, combine_cache_stats, load_signal
+from repro.service.stats import ServiceStats, load_signal
 from repro.traces.record import TraceRecord
 from repro.vsm.vocabulary import Vocabulary
 
@@ -263,17 +256,11 @@ class ShardedFarmer:
         self.vocabulary = Vocabulary()
         self.extractor = Extractor(self.config.attributes, self.vocabulary)
         self.vector_store = VectorStore(self.config, self.extractor)
-        self.sim_cache = (
-            SimilarityCache(self.config.sim_cache_capacity)
-            if self.config.shared_sim_cache
-            else None
-        )
         self.shards: tuple[Farmer, ...] = tuple(
             Farmer(
                 self.config,
                 vocabulary=self.vocabulary,
                 vector_store=self.vector_store,
-                sim_cache=self.sim_cache,
             )
             for _ in range(n)
         )
@@ -781,13 +768,12 @@ class ShardedFarmer:
             mean_top_degree=sum(tops) / len(tops),
         )
 
-    def sim_cache_stats(self) -> SimCacheStats:
-        """Service-level similarity-cache counters (shared cache's, or
-        the per-shard caches summed)."""
-        if self.sim_cache is not None:
-            return self.sim_cache.stats()
-        return combine_cache_stats(
-            [shard.sim_cache_stats() for shard in self.shards]
+    def sim_cache_stats(self) -> SimStats:
+        """Service-level Function-1 counters (the shards' summed)."""
+        stats = [shard.sim_cache_stats() for shard in self.shards]
+        return SimStats(
+            hits=sum(s.hits for s in stats),
+            misses=sum(s.misses for s in stats),
         )
 
     def memory_bytes(self) -> int:
@@ -795,8 +781,6 @@ class ShardedFarmer:
         Queued-but-undelivered echoes are transport, not mining state,
         and are not counted (the records are owned by the trace)."""
         total = self.vocabulary.approx_bytes() + self.vector_store.approx_bytes()
-        if self.sim_cache is not None:
-            total += self.sim_cache.approx_bytes()
         # shards skip the injected (non-owned) components themselves
         total += sum(shard.memory_bytes() for shard in self.shards)
         if self._replicator is not None:
@@ -824,7 +808,7 @@ class ShardedFarmer:
         return self._n_echo_flushes
 
     def stats(self) -> ServiceStats:
-        """Aggregated per-shard stats, cache counters and memory
+        """Aggregated per-shard stats, Function-1 counters and memory
         (pending echoes are delivered first so every counter reflects
         the full routed stream; ``echo_queue_depths`` is captured
         *before* that drain — it reports the queues as the caller found
@@ -891,7 +875,7 @@ class ShardedFarmer:
         post-rebalance queries serve exactly the lists the old owners
         would have served. Shards beyond a shrunken count are dropped
         after their fids migrate out; new shards join sharing the same
-        vocabulary, vector store and similarity cache. Halo state left
+        vocabulary and vector store. Halo state left
         behind on old shards (echo by-products for fids that moved) is
         unreachable through queries and is reclaimed as those graphs
         evolve.
@@ -957,7 +941,6 @@ class ShardedFarmer:
                     self.config,
                     vocabulary=self.vocabulary,
                     vector_store=self.vector_store,
-                    sim_cache=self.sim_cache,
                 )
                 for _ in range(new_n - old_n)
             )
@@ -1182,8 +1165,8 @@ class ShardedFarmer:
         The shard's graph, Correlator Lists and re-rank bookkeeping are
         discarded, and its queued (in-flight) boundary echoes are
         dropped — at-most-once delivery, exactly what a crashed
-        destination costs. The shared vocabulary, vector store and
-        similarity cache are namespace-global and unaffected. Until
+        destination costs. The shared vocabulary and vector store are
+        namespace-global and unaffected. Until
         :meth:`promote_standby` runs, requests and queries routed to
         this shard raise :class:`ShardFailedError` while every other
         partition keeps serving; aggregate accounting (``snapshot`` /
@@ -1207,7 +1190,6 @@ class ShardedFarmer:
             self.config,
             vocabulary=self.vocabulary,
             vector_store=self.vector_store,
-            sim_cache=self.sim_cache,
         )
         self.shards = tuple(shards)
         self._failed.add(index)

@@ -1,23 +1,21 @@
 """Aggregated accounting for the sharded mining service.
 
 One report rolls the per-shard :class:`~repro.core.farmer.FarmerStats`
-and similarity-cache counters into service-level totals, so experiments
-and benchmarks read a single object instead of poking N shards (and the
-shared vector store / vocabulary / cache are counted exactly once in the
-memory total, not once per shard).
+and Function-1 counters into service-level totals, so experiments and
+benchmarks read a single object instead of poking N shards (and the
+shared vector store / vocabulary are counted exactly once in the memory
+total, not once per shard).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cominer import RerankStats
+from repro.core.cominer import RerankStats, SimStats
 from repro.core.farmer import FarmerStats
-from repro.core.simcache import SimCacheStats
 
 __all__ = [
     "ServiceStats",
-    "combine_cache_stats",
     "combine_rerank_stats",
     "load_signal",
 ]
@@ -33,29 +31,6 @@ def load_signal(n_observed: int, entries_scanned: int) -> float:
     never silently diverge.
     """
     return float(n_observed + entries_scanned)
-
-
-def combine_cache_stats(stats: list[SimCacheStats]) -> SimCacheStats:
-    """Sum similarity-cache counters across caches.
-
-    With a shared cache every shard reports the same counters — pass the
-    single shared snapshot. With per-shard caches, pass one snapshot per
-    shard and the hit rate of the sum is the service-level rate.
-    """
-    if not stats:
-        return SimCacheStats(
-            hits=0, misses=0, stale=0, evictions=0, size=0, capacity=0
-        )
-    if len(stats) == 1:
-        return stats[0]
-    return SimCacheStats(
-        hits=sum(s.hits for s in stats),
-        misses=sum(s.misses for s in stats),
-        stale=sum(s.stale for s in stats),
-        evictions=sum(s.evictions for s in stats),
-        size=sum(s.size for s in stats),
-        capacity=sum(s.capacity for s in stats),
-    )
 
 
 def combine_rerank_stats(stats: list[RerankStats]) -> RerankStats:
@@ -85,10 +60,10 @@ class ServiceStats:
         shards: per-shard :class:`FarmerStats`; a shard's ``n_observed``
             includes the echoes it absorbed, so their sum can exceed the
             service total.
-        sim_cache: service-level similarity-cache counters (the shared
-            cache's, or the per-shard caches summed).
+        sim_cache: service-level Function-1 counters (the shards'
+            summed).
         memory_bytes: total footprint with shared components (vocabulary,
-            vector store, shared cache) counted exactly once.
+            vector store) counted exactly once.
         n_echo_flushes: echo-queue drain operations performed (each
             drain delivers one shard's whole queue; the batching win is
             echoes amortized per drain, not fewer echoes).
@@ -123,7 +98,7 @@ class ServiceStats:
     n_observed: int
     n_boundary_echoes: int
     shards: tuple[FarmerStats, ...]
-    sim_cache: SimCacheStats
+    sim_cache: SimStats
     memory_bytes: int
     n_echo_flushes: int = 0
     n_rebalances: int = 0

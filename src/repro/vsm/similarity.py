@@ -75,9 +75,10 @@ def ipa_similarity(
     """Function 1 with the Integrated Path Algorithm.
 
     Scalar hits are a C-level set intersection (scalar ids are unique by
-    construction, so bag and set semantics coincide); bag mode runs on
-    the vectors' precomputed ``sorted_path`` tuples so the per-comparison
-    cost is a single linear merge — no sorting on the hot path.
+    construction, so bag and set semantics coincide). Bag mode does the
+    same for two paths without a repeated component, and otherwise runs
+    a linear merge of the vectors' precomputed ``sorted_path`` tuples —
+    no sorting on the hot path.
     """
     na, nb = a.n_ipa, b.n_ipa
     denom = na if na >= nb else nb
@@ -93,9 +94,18 @@ def ipa_similarity(
     pa, pb = a.path_ids, b.path_ids
     if pa and pb:
         if path_mode == "bag":
-            hits += bag_intersection(a.sorted_path, b.sorted_path) / max(
-                len(pa), len(pb)
-            )
+            la, lb = len(pa), len(pb)
+            ps_a = a._path_set
+            if ps_a is None:
+                ps_a = a.path_set
+            ps_b = b._path_set
+            if ps_b is None:
+                ps_b = b.path_set
+            if len(ps_a) == la and len(ps_b) == lb:
+                shared = len(ps_a & ps_b)
+            else:
+                shared = bag_intersection(a.sorted_path, b.sorted_path)
+            hits += shared / (la if la >= lb else lb)
         else:
             hits += directory_similarity(pa, pb, mode=path_mode)
     return hits / denom

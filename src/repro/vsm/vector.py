@@ -54,6 +54,11 @@ class SemanticVector:
             attribute, and each attribute contributes distinct values),
             so the bag intersection of two scalar tuples equals the set
             intersection — which runs as one C-level ``&``.
+        path_set: ``path_ids`` as a frozenset, lazily cached. When
+            neither of two paths repeats a component (its set is as long
+            as the path), their bag intersection equals the set
+            intersection, so IPA bag mode takes the C-level ``&`` and
+            falls back to the sorted merge only for repeated components.
     """
 
     scalar_ids: tuple[int, ...]
@@ -63,6 +68,9 @@ class SemanticVector:
         init=False, repr=False, compare=False, default=None
     )
     _scalar_set: frozenset[int] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _path_set: frozenset[int] | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -94,6 +102,14 @@ class SemanticVector:
         if cached is None:
             cached = frozenset(self.scalar_ids)
             object.__setattr__(self, "_scalar_set", cached)
+        return cached
+
+    @property
+    def path_set(self) -> frozenset[int]:
+        cached = self._path_set
+        if cached is None:
+            cached = frozenset(self.path_ids or ())
+            object.__setattr__(self, "_path_set", cached)
         return cached
 
     def n_items(self, method: str) -> int:
@@ -130,4 +146,6 @@ class SemanticVector:
             total += 56 + 8 * len(self._sorted_path)
         if self._scalar_set is not None:
             total += 216 + 32 * len(self._scalar_set)
+        if self._path_set is not None:
+            total += 216 + 32 * len(self._path_set)
         return total

@@ -44,6 +44,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FarmerConfig(**kwargs)
 
+    @pytest.mark.parametrize("knob", ["sim_cache_capacity", "shared_sim_cache"])
+    def test_similarity_cache_knobs_are_gone(self, knob):
+        """Rank stamps are the only Function-1 reuse; the cache knobs
+        are not accepted."""
+        with pytest.raises(TypeError):
+            FarmerConfig(**{knob: 0})
+
     def test_accepts_boundaries(self):
         FarmerConfig(weight_p=0.0)
         FarmerConfig(weight_p=1.0)

@@ -5,16 +5,21 @@ The acceptance property for the re-rank kernel: over a randomized
 (incremental stamps on *and* off) returns bit-identical query results
 to the paper-literal entry-by-entry oracle, under both the lazy and
 the eager schedule — while doing measurably less work (no insorts
-during re-ranks, fewer Function-1 evaluation requests). The bulk
+during re-ranks, fewer Function-1 computations). The bulk
 kernel's own shortcuts (the whole-list epoch skip, per-entry stamp
 reuse under vector churn, the heap partial-select list cut) are pinned
-against the same oracle below.
+against the same oracle below, and a hypothesis property drives all
+three configurations through random interleaved observe/query streams
+with vector churn.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.cominer import SimStats
 from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
 from repro.graph.correlator_list import CorrelatorList
@@ -30,6 +35,35 @@ KERNELS = {
 
 def farmers_for(**common):
     return {k: Farmer(FarmerConfig(**common, **kw)) for k, kw in KERNELS.items()}
+
+
+#: one op per request: (fid, uid, pid, directory, query after observing).
+#: Few fids and many attribute values keep vectors churning, and the
+#: merge policy bumps versions until a file's buckets saturate.
+CHURN_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 9),
+        st.integers(0, 3),
+        st.integers(0, 5),
+        st.integers(0, 2),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+def churn_stream(ops):
+    """``(record, query)`` pairs for a :data:`CHURN_OPS` draw."""
+    return [
+        (
+            make_record(
+                fid, ts=i, uid=uid, pid=pid, host=uid % 2, path=f"/d{d}/f{fid}"
+            ),
+            query,
+        )
+        for i, (fid, uid, pid, d, query) in enumerate(ops)
+    ]
 
 
 class TestKernelEquivalence:
@@ -109,6 +143,31 @@ class TestKernelEquivalence:
             )
 
 
+class TestInterleavedChurnProperty:
+    @pytest.mark.parametrize("freeze", [0, 8])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=CHURN_OPS, policy=st.sampled_from(["merge", "latest"]))
+    def test_stamps_plain_and_entrywise_agree(self, freeze, ops, policy):
+        """Bulk with stamps (edge stamps included), bulk without stamps
+        and the entrywise oracle serve bit-identical lists at every
+        query of an interleaved stream, and at the end for every file."""
+        farmers = farmers_for(
+            max_strength=0.2, vector_freeze_threshold=freeze, sv_policy=policy
+        )
+        ref = farmers["entrywise"]
+        for i, (record, query) in enumerate(churn_stream(ops)):
+            for f in farmers.values():
+                f.observe(record)
+            if query:
+                expected = ref.correlators(record.fid)
+                for name, f in farmers.items():
+                    assert f.correlators(record.fid) == expected, (name, i)
+        for fid in range(10):
+            expected = ref.correlators(fid)
+            for name, f in farmers.items():
+                assert f.correlators(fid) == expected, (name, fid)
+
+
 class TestOpCounts:
     def test_bulk_rerank_never_insorts(self):
         """Re-ranks on the bulk kernel cost zero binary insertions; the
@@ -127,8 +186,8 @@ class TestOpCounts:
         assert bulk.insort_ops < entry.insort_ops / 2
 
     def test_stamps_cut_function1_requests(self):
-        """With stable vectors, the per-entry sim memo absorbs most
-        Function-1 evaluation requests before they reach the cache."""
+        """With stable vectors, the rank stamps (edge stamps included)
+        absorb most Function-1 computations."""
         trace = generate_trace("hp", 4_000, seed=9)
 
         def fpa(with_stamps: bool) -> Farmer:
@@ -148,14 +207,16 @@ class TestOpCounts:
         fids = set(stamped.constructor.graph.nodes())
         for fid in fids:
             assert stamped.correlators(fid) == plain.correlators(fid)
-        # ...with far fewer Function-1 evaluation requests, and no more
-        # actual recomputations
-        assert stamped.sim_cache_stats().lookups < plain.sim_cache_stats().lookups / 2
-        assert stamped.sim_cache_stats().misses <= plain.sim_cache_stats().misses
+        # ...with far fewer Function-1 computations, every similarity
+        # served either way
+        s_sim, p_sim = stamped.sim_cache_stats(), plain.sim_cache_stats()
+        assert s_sim.misses < p_sim.misses / 2
+        assert p_sim.hits == 0
+        assert s_sim.lookups == p_sim.lookups
 
     def test_semantic_distances_batch_kernel(self):
         """The batch kernel answers a whole successor set in one pass,
-        agreeing with the single-pair path and warming the cache."""
+        agreeing with the single-pair path."""
         trace = generate_trace("hp", 1_000, seed=4)
         farmer = Farmer()
         for record in trace:
@@ -208,6 +269,42 @@ def _stamped_and_oracle(**common) -> tuple[Farmer, Farmer]:
         Farmer(FarmerConfig(rerank_kernel="bulk", **common)),
         Farmer(FarmerConfig(rerank_kernel="entrywise", **common)),
     )
+
+
+class TestEdgeStamps:
+    def two_requests(self, **cfg) -> Farmer:
+        farmer = Farmer(FarmerConfig(max_strength=0.0, **cfg))
+        farmer.observe(make_record(1, uid=1, pid=1, host=1, path="/a/x"))
+        # reinforces 1 -> 2: the edge refresh computes sim(1, 2)
+        farmer.observe(make_record(2, uid=1, pid=1, host=1, path="/a/y", ts=1))
+        return farmer
+
+    def test_edge_stamp_feeds_the_next_rerank(self):
+        """The similarity an edge refresh computed is stamped, and the
+        next bulk re-rank of the source reuses it."""
+        farmer = self.two_requests()
+        assert farmer.sim_cache_stats() == SimStats(hits=0, misses=1)
+        assert farmer.miner.is_dirty(1)
+        entries = farmer.correlators(1)  # the deferred re-rank of 1
+        assert [e.fid for e in entries] == [2]
+        assert farmer.sim_cache_stats() == SimStats(hits=1, misses=1)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [dict(incremental_rerank=False), dict(rerank_kernel="entrywise")],
+        ids=["no-stamps", "entrywise"],
+    )
+    def test_unstamped_paths_recompute(self, cfg):
+        """Without stamps every similarity is computed, and the lists
+        are the stamped path's."""
+        farmer = self.two_requests(**cfg)
+        assert farmer.correlators(1) == self.two_requests().correlators(1)
+        assert farmer.sim_cache_stats() == SimStats(hits=0, misses=2)
+
+    def test_idle_counters(self):
+        stats = Farmer().sim_cache_stats()
+        assert stats == SimStats(hits=0, misses=0)
+        assert stats.lookups == 0 and stats.hit_rate == 0.0
 
 
 class TestWholeListSkip:

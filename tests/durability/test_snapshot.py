@@ -62,7 +62,6 @@ class TestRoundTrip:
         restored = load_snapshot(latest_snapshot(tmp_path))
         for shard in restored.shards:
             assert shard.vocabulary is restored.vocabulary
-            assert shard.miner.sim_cache is restored.sim_cache
             assert shard.constructor.vectors is restored.vector_store
         assert restored._replicator._service is restored
         for replica in restored._replicator.replicas:
@@ -141,6 +140,51 @@ class TestDamage:
         (snap / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(
             PersistenceError, match=f"repro.core.vector_store.{removed}"
+        ):
+            load_snapshot(report.path)
+
+    def test_snapshot_naming_the_similarity_cache_refuses(
+        self, tmp_path, records, monkeypatch
+    ):
+        """Snapshots written before the similarity cache was removed
+        pickled a ``SimilarityCache`` in the shared-store blob; such a
+        snapshot refuses with a typed error, not a half-restored
+        service."""
+        import json
+        import pickle
+        import sys
+        import types
+        import zlib
+
+        service = build_service(CFG, records[:500])
+        report = write_snapshot(tmp_path, service, 500)
+        snap = tmp_path / "snap-000000000500"
+        shared = pickle.loads((snap / "shared.pkl").read_bytes())
+        # rebuild the old shared blob: the stores plus a "sim_cache"
+        # entry, pickled while a stand-in of the removed module exists
+        old_module = types.ModuleType("repro.core.simcache")
+
+        class SimilarityCache:
+            pass
+
+        SimilarityCache.__module__ = old_module.__name__
+        SimilarityCache.__qualname__ = "SimilarityCache"
+        old_module.SimilarityCache = SimilarityCache
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, old_module.__name__, old_module)
+            blob = pickle.dumps(
+                {**shared, "sim_cache": SimilarityCache()},
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        (snap / "shared.pkl").write_bytes(blob)
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["files"]["shared.pkl"] = {
+            "bytes": len(blob),
+            "crc32": zlib.crc32(blob),
+        }
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            PersistenceError, match="repro.core.simcache.SimilarityCache"
         ):
             load_snapshot(report.path)
 

@@ -1,13 +1,15 @@
 """The HTTP query/admin plane, exercised over real sockets."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
 from repro.core.config import FarmerConfig
-from repro.online.api import AdminApiServer
+from repro.online.api import MAX_BODY_BYTES, AdminApiServer
 from repro.online.pipeline import OnlineService
 from tests.conftest import sequence_records
 
@@ -30,6 +32,21 @@ def post(url, path, payload=None, raw=None):
 
 def status_of(exc_info):
     return exc_info.value.code, json.loads(exc_info.value.read())
+
+
+def post_with_length(url, path, content_length: str, body: bytes = b""):
+    """POST with a hand-set ``Content-Length`` header (which may lie
+    about, or not describe, the body actually sent)."""
+    parts = urlparse(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10.0)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
 
 
 @pytest.fixture
@@ -162,6 +179,56 @@ class TestErrorMapping:
             post(url, "/ingest", raw=b"not json\n")
         code, _ = status_of(exc_info)
         assert code == 400
+
+    def test_bad_line_refuses_the_whole_body(self, served):
+        """A malformed line 3 refuses the body before lines 1-2 are
+        offered, so a client retry cannot double-ingest them."""
+        online, url = served
+        before = online.pipeline.counters()
+        good = [
+            json.dumps({"ts": i, "fid": 9, "uid": 1, "pid": 1, "host": 1})
+            for i in range(2)
+        ]
+        body = "\n".join(good + ['{"ts": 3, "uid": 1}']).encode()
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            post(url, "/ingest", raw=body)
+        code, payload = status_of(exc_info)
+        assert code == 400 and "line 3" in payload["error"]
+        after = online.pipeline.counters()
+        assert after.n_offered == before.n_offered
+        assert after.n_accepted == before.n_accepted
+
+    def test_non_utf8_ingest_body_400(self, served):
+        online, url = served
+        before = online.pipeline.counters().n_offered
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            post(url, "/ingest", raw=b"\xff\xfe{}")
+        code, payload = status_of(exc_info)
+        assert code == 400 and "UTF-8" in payload["error"]
+        assert online.pipeline.counters().n_offered == before
+
+    def test_non_integer_content_length_400(self, served):
+        _, url = served
+        status, payload = post_with_length(url, "/ingest", "ten", b"{}")
+        assert status == 400 and "Content-Length" in payload["error"]
+        assert get(url, "/health")["status"] == "ok"
+
+    def test_negative_content_length_400(self, served):
+        _, url = served
+        status, payload = post_with_length(url, "/ingest", "-1", b"{}")
+        assert status == 400 and "Content-Length" in payload["error"]
+        assert get(url, "/health")["status"] == "ok"
+
+    def test_oversized_body_413_without_reading(self, served):
+        """The limit is checked against the header, so the refusal
+        comes back although the announced body is never sent."""
+        online, url = served
+        before = online.pipeline.counters().n_offered
+        status, payload = post_with_length(
+            url, "/ingest", str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413 and str(MAX_BODY_BYTES) in payload["error"]
+        assert online.pipeline.counters().n_offered == before
 
     def test_service_refusal_maps_to_409(self):
         """promote_standby without replication: the service's

@@ -17,20 +17,23 @@ class TestLatencyHistogram:
         geometric from 1us, so a 1.5us sample reports as <= 2us."""
         hist = LatencyHistogram()
         hist.record(1.5e-6)
+        hist.record(1e-4)
         assert hist.percentile(0.5) == pytest.approx(2e-6)
 
     def test_sub_base_samples_land_in_bucket_zero(self):
         hist = LatencyHistogram()
         hist.record(2e-7)
         hist.record(0.0)
-        assert hist.n == 2
-        assert hist.percentile(0.99) == pytest.approx(1e-6)
+        hist.record(1e-4)
+        assert hist.n == 3
+        assert hist.percentile(0.5) == pytest.approx(1e-6)
 
     def test_negative_clamps_to_zero(self):
         hist = LatencyHistogram()
         hist.record(-1.0)
         assert hist.n == 1
-        assert hist.percentile(0.5) == pytest.approx(1e-6)
+        assert hist.percentile(0.5) == 0.0
+        assert hist.summary().max_s == 0.0
 
     def test_percentiles_are_monotone(self):
         hist = LatencyHistogram()
@@ -62,6 +65,26 @@ class TestLatencyHistogram:
         assert summary.n == 3
         assert summary.max_s == pytest.approx(7e-4)
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [1.41e-4],
+            [1e-6, 2e-6, 3e-6, 1.41e-4],
+            [i * 3.3e-6 for i in range(1, 101)],
+            [0.0, 5e-7, 9e-7],
+        ],
+        ids=["single", "few", "spread", "sub-base"],
+    )
+    def test_percentiles_never_exceed_the_max(self, samples):
+        """Bucket upper bounds are clamped to the observed maximum:
+        one 141us sample must not report p50 = 256us."""
+        hist = LatencyHistogram()
+        for s in samples:
+            hist.record(s)
+        summary = hist.summary()
+        assert summary.p50_s <= summary.p95_s <= summary.p99_s <= summary.max_s
+        assert summary.max_s == max(samples)
+
     def test_empty_summary_is_zeros(self):
         summary = LatencyHistogram().summary()
         assert summary.n == 0
@@ -78,7 +101,7 @@ class TestLatencyHistogram:
         hist.record(1.5e-6)
         d = hist.summary().as_dict()
         assert d["n"] == 1
-        assert d["p50_us"] == pytest.approx(2.0)
+        assert d["p50_us"] == pytest.approx(1.5)  # clamped to the max
         assert d["max_us"] == pytest.approx(1.5)
 
 

@@ -38,7 +38,6 @@ class TestServiceCli:
                     "--shards",
                     "2",
                     "--isolate",
-                    "--per-shard-cache",
                     "--no-predict",
                     "--policy",
                     "range",
@@ -49,6 +48,12 @@ class TestServiceCli:
         out = capsys.readouterr().out
         assert "cross_shard_edges=False" in out
         assert "mode=observe" in out
+
+    def test_per_shard_cache_flag_is_gone(self, capsys):
+        """There is no similarity cache to split per shard."""
+        with pytest.raises(SystemExit):
+            main(["service", "--events", "100", "--per-shard-cache"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--parallel", "--workers"])
     def test_parallel_flags_are_gone(self, flag, capsys):

@@ -7,15 +7,21 @@ Two properties ride here:
   production bulk kernel, driven through rebalance *and* failover,
   serves exactly what the entrywise-oracle service serves (the kernel
   seam is below every migration/replication seam, so the whole schedule
-  must agree);
+  must agree), with and without rank stamps, including under random
+  interleaved observe/query streams with vector churn;
 * **delta sync engages** — steady-state standby barriers ship
   stats-only nodes as in-place array deltas (``n_delta_syncs``), and a
   standby built that way still promotes to a bit-identical shard.
 """
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.config import FarmerConfig
 from repro.service.sharded import ShardedFarmer
 from repro.traces.synthetic import generate_trace
+from tests.core.test_rerank_kernel import CHURN_OPS, KERNELS, churn_stream
 
 
 def owned_fids(service: ShardedFarmer) -> set[int]:
@@ -62,6 +68,48 @@ class TestServiceEquivalence:
         fids = owned_fids(oracle_svc)
         assert owned_fids(bulk_svc) == fids
         assert query_map(bulk_svc, fids) == query_map(oracle_svc, fids)
+
+
+class TestInterleavedChurnProperty:
+    @pytest.mark.parametrize("freeze", [0, 8])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=CHURN_OPS,
+        cut=st.integers(0, 120),
+        n_after=st.sampled_from([2, 3, 6]),
+    )
+    def test_replicated_rebalance_stream(self, freeze, ops, cut, n_after):
+        """A 4-shard replicated service rebalanced mid-stream serves
+        identical lists on bulk with stamps, bulk without stamps and
+        entrywise, at every query and for every file at the end."""
+        services = {
+            name: ShardedFarmer(
+                FarmerConfig(
+                    max_strength=0.2,
+                    n_shards=4,
+                    replication=True,
+                    standby_sync_interval=16,
+                    vector_freeze_threshold=freeze,
+                    **kernel,
+                )
+            )
+            for name, kernel in KERNELS.items()
+        }
+        ref = services["entrywise"]
+        for i, (record, query) in enumerate(churn_stream(ops)):
+            if i == cut:
+                for service in services.values():
+                    service.rebalance(n_shards=n_after)
+            for service in services.values():
+                service.observe(record)
+            if query:
+                expected = ref.correlators(record.fid)
+                for name, service in services.items():
+                    assert service.correlators(record.fid) == expected, (name, i)
+        for fid in range(10):
+            expected = ref.correlators(fid)
+            for name, service in services.items():
+                assert service.correlators(fid) == expected, (name, fid)
 
 
 class TestDeltaSync:

@@ -213,36 +213,6 @@ class TestMineBatch:
         assert service.mine(generate_trace("hp", 200, seed=1)) is service
 
 
-class TestSharedCache:
-    def test_shared_and_private_caches_agree(self):
-        """Caching (shared or per-shard) never changes mining results."""
-        trace = generate_trace("hp", 2_000, seed=6)
-        shared = ShardedFarmer(FarmerConfig(n_shards=4, max_strength=0.3))
-        private = ShardedFarmer(
-            FarmerConfig(n_shards=4, max_strength=0.3, shared_sim_cache=False)
-        )
-        for record in trace:
-            shared.observe(record)
-            private.observe(record)
-            assert shared.predict(record.fid) == private.predict(record.fid)
-        assert shared.sim_cache is not None
-        assert private.sim_cache is None
-
-    def test_shared_cache_cross_shard_reuse(self):
-        """A sim computed by one shard is served to another: total
-        lookups exceed what any one shard could have hit alone."""
-        trace = generate_trace("hp", 3_000, seed=6)
-        service = ShardedFarmer(FarmerConfig(n_shards=4, max_strength=0.0))
-        for record in trace:
-            service.observe(record)
-            service.predict(record.fid)
-        stats = service.sim_cache_stats()
-        assert stats.hits > 0
-        # every shard's view of the shared counters is the same object
-        for shard in service.shards:
-            assert shard.miner.sim_cache is service.sim_cache
-
-
 class TestSharedStores:
     def test_shared_stores_are_picklable(self):
         """The shards share plain, unlocked stores (the service is
@@ -250,14 +220,12 @@ class TestSharedStores:
         round-trips through pickle, which durable snapshots rely on."""
         import pickle
 
-        from repro.core.simcache import SimilarityCache
         from repro.core.vector_store import VectorStore
         from repro.vsm.vocabulary import Vocabulary
 
         service = ShardedFarmer(FarmerConfig(n_shards=2))
         assert type(service.vocabulary) is Vocabulary
         assert type(service.vector_store) is VectorStore
-        assert type(service.sim_cache) is SimilarityCache
         service.mine(generate_trace("hp", 400, seed=3))
         for shard in service.shards:
             assert shard.constructor.vectors is service.vector_store

@@ -39,6 +39,20 @@ class TestSimilarityProperties:
         assert ipa_similarity(a, b) == ipa_similarity(b, a)
 
     @given(vectors, vectors)
+    def test_ipa_matches_the_bag_definition(self, a, b):
+        """Bag-mode IPA (a set intersection for repeat-free paths, the
+        sorted merge otherwise) equals Function 1 spelled out over
+        ``directory_similarity``, bit for bit."""
+        denom = max(a.n_ipa, b.n_ipa)
+        expected = 0.0
+        if denom:
+            hits = float(len(set(a.scalar_ids) & set(b.scalar_ids)))
+            if a.path_ids and b.path_ids:
+                hits += directory_similarity(a.path_ids, b.path_ids)
+            expected = hits / denom
+        assert ipa_similarity(a, b) == expected
+
+    @given(vectors, vectors)
     def test_dpa_bounds(self, a, b):
         assert 0.0 <= dpa_similarity(a, b) <= 1.0
 
